@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full examples docs clean
+.PHONY: install test bench bench-full e2e e2e-quick examples docs clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -17,6 +17,14 @@ bench:
 
 bench-full:
 	REPRO_BENCH_SCALE=full $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The benchmark BENCHMARK.json declares (benchmarks/e2e/README.md): every
+# workload in a child process. E2E_FLAGS takes --traced, --workload W, --out F.
+e2e:
+	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e.run $(E2E_FLAGS)
+
+e2e-quick:
+	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e.run --quick $(E2E_FLAGS)
 
 examples:
 	for script in examples/*.py; do echo "== $$script"; $(PYTHON) $$script || exit 1; done

@@ -16,20 +16,26 @@ tested.
 
 from __future__ import annotations
 
-import sys
-from collections import Counter
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.bid.relation import BIDDatabase
 from repro.errors import InferenceError
 from repro.lineage.dnf import DNF, EventVar
+from repro.lineage.masks import (
+    Formula,
+    bits,
+    branch_bit,
+    deep_recursion,
+    encode,
+    split,
+)
 from repro.query.grounding import all_groundings
 from repro.query.syntax import ConjunctiveQuery
 
-_Clauses = frozenset[frozenset[int]]
-
 
 class _BlockSolver:
+    """Block-at-a-time DPLL over :mod:`repro.lineage.masks` formulas."""
+
     def __init__(
         self,
         probs: list[float],
@@ -41,25 +47,27 @@ class _BlockSolver:
         self.probs = probs
         self.block_of = block_of
         self.blocks = blocks
+        #: per block, the mask of all its alternatives
+        self.block_masks = [sum(1 << m for m in members) for members in blocks]
         self.none_probs = none_probs
         self.max_calls = max_calls
         self.calls = 0
-        self.memo: dict[_Clauses, float] = {}
+        self.memo: dict[Formula, float] = {}
 
-    def probability(self, clauses: _Clauses) -> float:
+    def probability(self, formula: Formula) -> float:
         self.calls += 1
         if self.calls > self.max_calls:
             raise InferenceError(
                 f"block-DPLL exceeded the budget of {self.max_calls} calls"
             )
-        if not clauses:
+        if not formula:
             return 0.0
-        if frozenset() in clauses:
+        if 0 in formula:
             return 1.0
-        hit = self.memo.get(clauses)
+        hit = self.memo.get(formula)
         if hit is not None:
             return hit
-        groups = self._components(clauses)
+        groups = self._components(formula)
         if len(groups) > 1:
             failure = 1.0
             for g in groups:
@@ -68,85 +76,51 @@ class _BlockSolver:
                     break
             result = 1.0 - failure
         else:
-            result = self._branch(clauses)
-        self.memo[clauses] = result
+            result = self._branch(formula)
+        self.memo[formula] = result
         return result
 
-    def _components(self, clauses: _Clauses) -> list[_Clauses]:
+    def _components(self, formula: Formula) -> list[Formula]:
         """Clauses grouped by connectivity through shared variables OR
         shared blocks (block-mates are correlated even if never co-located
-        in a clause)."""
-        parent: dict[int, int] = {}
+        in a clause): split on each clause's mask widened to its blocks."""
+        by_reach: dict[int, list[int]] = {}
+        for c in formula:
+            reach = c
+            for v in bits(c):
+                reach |= self.block_masks[self.block_of[v]]
+            by_reach.setdefault(reach, []).append(c)
+        return [
+            frozenset(c for reach in g for c in by_reach[reach])
+            for g in split(frozenset(by_reach))
+        ]
 
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        def union(a: int, b: int) -> None:
-            parent.setdefault(a, a)
-            parent.setdefault(b, b)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        for c in clauses:
-            it = iter(c)
-            first = next(it)
-            parent.setdefault(first, first)
-            for v in it:
-                union(first, v)
-            for v in c:
-                # connect the whole block through its first member
-                union(v, self.blocks[self.block_of[v]][0])
-        groups: dict[int, list[frozenset[int]]] = {}
-        for c in clauses:
-            groups.setdefault(find(next(iter(c))), []).append(c)
-        return [frozenset(g) for g in groups.values()]
-
-    def _branch(self, clauses: _Clauses) -> float:
-        counts: Counter[int] = Counter()
-        for c in clauses:
-            counts.update(c)
-        var, _ = counts.most_common(1)[0]
-        block_id = self.block_of[var]
-        members = self.blocks[block_id]
+    def _branch(self, formula: Formula) -> float:
+        block_id = self.block_of[branch_bit(formula).bit_length() - 1]
+        block = self.block_masks[block_id]
         total = 0.0
-        for alt in members:
+        for alt in self.blocks[block_id]:
             p = self.probs[alt]
-            if p == 0.0:
-                continue
-            conditioned = self._choose(clauses, alt, members)
-            if frozenset() in conditioned:
-                total += p
-            elif conditioned:
-                total += p * self.probability(conditioned)
+            if p > 0.0:
+                total += p * self._given(formula, block, 1 << alt)
         none_p = self.none_probs[block_id]
         if none_p > 0.0:
-            conditioned = self._choose(clauses, None, members)
-            if frozenset() in conditioned:
-                total += none_p
-            elif conditioned:
-                total += none_p * self.probability(conditioned)
+            total += none_p * self._given(formula, block, 0)
         return total
 
-    @staticmethod
-    def _choose(
-        clauses: _Clauses, chosen: int | None, members: Sequence[int]
-    ) -> _Clauses:
-        """Condition on the block outcome: the chosen alternative becomes
-        true (removed from clauses); all other members become false (their
-        clauses drop)."""
-        others = set(members)
-        if chosen is not None:
-            others.discard(chosen)
-        out = set()
-        for c in clauses:
-            if c & others:
-                continue
-            out.add(c - {chosen} if chosen is not None and chosen in c else c)
-        return frozenset(out)
+    def _given(self, formula: Formula, block: int, chosen: int) -> float:
+        """Probability once the block's outcome is known: the *chosen*
+        alternative (a one-bit mask; 0 for none) is true and leaves its
+        clauses, every other member is false and takes its clauses along."""
+        others = block ^ chosen
+        conditioned = frozenset(
+            [c & ~chosen for c in formula if not c & others]
+        )
+        if 0 in conditioned:
+            return 1.0
+        if not conditioned:
+            return 0.0
+        return self.probability(conditioned)
 
 
 def block_dnf_probability(
@@ -196,14 +170,9 @@ def block_dnf_probability(
             raise InferenceError(
                 f"block {bid} probabilities sum to {total} > 1"
             )
-    clauses = frozenset(frozenset(ids[v] for v in c) for c in dnf.clauses)
     solver = _BlockSolver(p, block_of, blocks, none_probs, max_calls)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10_000 + 6 * len(variables)))
-    try:
-        return solver.probability(clauses)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    with deep_recursion(len(variables)):
+        return solver.probability(encode(dnf.clauses, ids))
 
 
 def bid_query_probability(

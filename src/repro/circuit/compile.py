@@ -29,7 +29,6 @@ tree, else OBDD, else DPLL trace when the OBDD blows its node budget.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Mapping, Sequence
 
 from repro.circuit.ac import ArithmeticCircuit, CircuitBuilder
@@ -37,7 +36,16 @@ from repro.core.compile import partial_lineage_dnf
 from repro.core.network import EPSILON, AndOrNetwork, NodeKind
 from repro.errors import CapacityError
 from repro.lineage.dnf import DNF, EventVar
-from repro.lineage.exact import _split_components
+from repro.lineage.masks import (
+    Formula,
+    bits,
+    branch_bit,
+    cofactors,
+    common,
+    deep_recursion,
+    encode,
+    split,
+)
 from repro.lineage.obdd import FALSE, TRUE, OBDD, build_obdd
 from repro.obs.trace import span as _span
 
@@ -94,9 +102,10 @@ def compile_dnf(
 ) -> ArithmeticCircuit:
     """Compile a monotone DNF by recording the DPLL decomposition trace.
 
-    Mirrors the solver of :mod:`repro.lineage.exact` — independent
-    components, common-variable factoring, Shannon expansion, memoisation on
-    clause sets — but emits gates instead of numbers. Decisions depend only
+    Mirrors the solver of :mod:`repro.lineage.exact` — the same mask
+    primitives (:mod:`repro.lineage.masks`) for independent components,
+    common-variable factoring and Shannon expansion, memoisation on clause
+    sets — but emits gates instead of numbers. Decisions depend only
     on the integer clause structure (deterministic tie-breaks, no
     probability-driven simplification), so two DNFs with the same shape over
     the same leaf order compile to the identical circuit: the property the
@@ -136,7 +145,7 @@ def compile_dnf(
             )
     index = {v: i for i, v in enumerate(leaf_order)}
     b = CircuitBuilder()
-    memo: dict[frozenset[frozenset[int]], int] = {}
+    memo: dict[Formula, int] = {}
     steps = 0
 
     def check() -> None:
@@ -149,62 +158,46 @@ def compile_dnf(
         if budget is not None and steps % 256 == 0:
             budget.checkpoint("circuit-compile")
 
-    def compile_clauses(clauses: frozenset[frozenset[int]]) -> int:
-        if not clauses:
+    def compile_formula(formula: Formula) -> int:
+        if not formula:
             return b.const(0.0)
-        if frozenset() in clauses:
+        if 0 in formula:
             return b.const(1.0)
-        hit = memo.get(clauses)
+        hit = memo.get(formula)
         if hit is not None:
             return hit
         check()
-        groups = _split_components(clauses)
+        groups = split(formula)
         if len(groups) > 1:
             # independent union: 1 - Π (1 - Pr(component))
-            groups.sort(key=lambda g: min(v for c in g for v in c))
             node = b.cmpl(b.prod([b.cmpl(factor(g)) for g in groups]))
         else:
-            node = factor(clauses)
-        memo[clauses] = node
+            node = factor(formula)
+        memo[formula] = node
         return node
 
-    def factor(clauses: frozenset[frozenset[int]]) -> int:
-        common = frozenset.intersection(*clauses)
-        if common:
-            literals = [b.var(v) for v in sorted(common)]
-            rest = frozenset(c - common for c in clauses)
-            if frozenset() in rest:
-                return b.prod(literals) if len(literals) > 1 else literals[0]
-            return b.prod(literals + [compile_clauses(rest)])
-        return shannon(clauses)
+    def factor(formula: Formula) -> int:
+        shared = common(formula)
+        if not shared:
+            return shannon(formula)
+        literals = [b.var(v) for v in bits(shared)]
+        rest = frozenset([c ^ shared for c in formula])
+        if 0 in rest:
+            return b.prod(literals) if len(literals) > 1 else literals[0]
+        return b.prod(literals + [compile_formula(rest)])
 
-    def shannon(clauses: frozenset[frozenset[int]]) -> int:
-        counts: Counter[int] = Counter()
-        for c in clauses:
-            counts.update(c)
-        var = max(counts, key=lambda v: (counts[v], -v))
-        positive = frozenset(c - {var} for c in clauses if var in c) | frozenset(
-            c for c in clauses if var not in c
-        )
-        negative = frozenset(c for c in clauses if var not in c)
-        pos = compile_clauses(positive)
-        neg = compile_clauses(negative)
+    def shannon(formula: Formula) -> int:
+        bit = branch_bit(formula)
+        var = bit.bit_length() - 1
+        positive, negative = cofactors(formula, bit)
+        pos = compile_formula(positive)
+        neg = compile_formula(negative)
         return b.sum([b.prod([b.var(var), pos]), b.prod([b.nvar(var), neg])])
 
-    int_clauses = frozenset(
-        frozenset(index[v] for v in c) for c in dnf.clauses
-    )
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10_000 + 6 * len(leaf_order)))
     with _span(
         "compile_dnf", variables=len(leaf_order), clauses=len(dnf.clauses)
-    ) as sp:
-        try:
-            root = compile_clauses(int_clauses)
-        finally:
-            sys.setrecursionlimit(old_limit)
+    ) as sp, deep_recursion(len(leaf_order)):
+        root = compile_formula(encode(dnf.clauses, index))
         sp.add("circuit_nodes", len(b))
     return b.build(
         root,

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core.network import EPSILON, AndOrNetwork, NodeKind
 from repro.errors import CapacityError, InferenceError
+from repro.obs.trace import add as _add
 from repro.obs.trace import span as _span
 
 #: Hard cap on intermediate factor arity: 2**22 floats ≈ 32 MB.
@@ -287,14 +288,20 @@ def _dpll_marginal(
     """``Pr(node=1)`` by compiling the partial-lineage DNF and running the
     exact DPLL solver — the structure-exploiting path for high-treewidth
     networks (the paper: "on this we run any general purpose probabilistic
-    inference algorithm")."""
+    inference algorithm"). The calls it made, also when the cap or the
+    deadline ended it, are added to the caller's span as ``dpll_calls``."""
     from repro.core.compile import partial_lineage_dnf
-    from repro.lineage.exact import dnf_probability
+    from repro.lineage.exact import DPLLStats, dnf_probability
 
     dnf, probs = partial_lineage_dnf(net, node)
-    return dnf_probability(
-        dnf, probs, max_calls=max_calls, cache=cache, budget=budget
-    )
+    stats = DPLLStats()
+    try:
+        return dnf_probability(
+            dnf, probs, max_calls=max_calls, cache=cache, budget=budget,
+            stats=stats,
+        )
+    finally:
+        _add("dpll_calls", stats.calls)
 
 
 def compute_marginal(

@@ -23,16 +23,21 @@ lies inside.
 
 from __future__ import annotations
 
-import sys
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
 from repro.errors import DeadlineExceededError
 from repro.lineage.dnf import DNF, EventVar
-from repro.lineage.exact import _split_components
-
-_Clauses = frozenset[frozenset[int]]
+from repro.lineage.masks import (
+    Formula,
+    branch_bit,
+    cofactors,
+    common,
+    deep_recursion,
+    encode,
+    split,
+    weight,
+)
 
 
 @dataclass(frozen=True)
@@ -59,13 +64,6 @@ class Interval:
         return self.low - tolerance <= value <= self.high + tolerance
 
 
-def _clause_weight(clause: frozenset[int], probs: list[float]) -> float:
-    w = 1.0
-    for v in clause:
-        w *= probs[v]
-    return w
-
-
 class _Approximator:
     #: Expansion steps between cooperative deadline checks.
     CHECK_EVERY = 256
@@ -77,15 +75,15 @@ class _Approximator:
         self.budget = budget
         self.truncated = False
 
-    def frontier(self, clauses: _Clauses) -> Interval:
+    def frontier(self, formula: Formula) -> Interval:
         """Cheap sound bounds without expansion."""
-        weights = [_clause_weight(c, self.probs) for c in clauses]
+        weights = [weight(c, self.probs) for c in formula]
         return Interval(max(weights), min(1.0, sum(weights)))
 
-    def bounds(self, clauses: _Clauses, epsilon: float) -> Interval:
-        if not clauses:
+    def bounds(self, formula: Formula, epsilon: float) -> Interval:
+        if not formula:
             return Interval(0.0, 0.0)
-        if frozenset() in clauses:
+        if 0 in formula:
             return Interval(1.0, 1.0)
         self.calls += 1
         if (
@@ -101,11 +99,11 @@ class _Approximator:
                 # sound truncation as call-budget exhaustion — the interval
                 # stays a true enclosure, only wider than requested.
                 self.truncated = True
-        cheap = self.frontier(clauses)
+        cheap = self.frontier(formula)
         if cheap.width <= epsilon or self.calls > self.max_calls or self.truncated:
             return cheap
 
-        groups = _split_components(clauses)
+        groups = split(formula)
         if len(groups) > 1:
             share = epsilon / len(groups)
             # 1 - Π(1 - p_i) is increasing in every p_i, so the result's
@@ -116,40 +114,26 @@ class _Approximator:
                 fail_high *= 1.0 - sub.low
                 fail_low *= 1.0 - sub.high
             return Interval(1.0 - fail_high, 1.0 - fail_low)
-        return self._factored(clauses, epsilon)
+        return self._factored(formula, epsilon)
 
-    def _factored(self, clauses: _Clauses, epsilon: float) -> Interval:
-        common = frozenset.intersection(*clauses)
-        if common:
-            weight = 1.0
-            for v in common:
-                weight *= self.probs[v]
-            rest = frozenset(c - common for c in clauses)
-            if frozenset() in rest:
-                return Interval(weight, weight)
-            # widening epsilon by /weight keeps the scaled width within budget
-            inner = self.bounds(rest, min(1.0, epsilon / max(weight, 1e-12)))
-            return Interval(weight * inner.low, weight * inner.high)
-        return self._shannon(clauses, epsilon)
+    def _factored(self, formula: Formula, epsilon: float) -> Interval:
+        shared = common(formula)
+        if not shared:
+            return self._shannon(formula, epsilon)
+        w = weight(shared, self.probs)
+        rest = frozenset([c ^ shared for c in formula])
+        if 0 in rest:
+            return Interval(w, w)
+        # widening epsilon by /w keeps the scaled width within budget
+        inner = self.bounds(rest, min(1.0, epsilon / max(w, 1e-12)))
+        return Interval(w * inner.low, w * inner.high)
 
-    def _shannon(self, clauses: _Clauses, epsilon: float) -> Interval:
-        counts: Counter[int] = Counter()
-        for c in clauses:
-            counts.update(c)
-        var, _ = counts.most_common(1)[0]
-        p = self.probs[var]
-        positive = frozenset(c - {var} for c in clauses if var in c) | frozenset(
-            c for c in clauses if var not in c
-        )
-        negative = frozenset(c for c in clauses if var not in c)
-        pos = (
-            Interval(1.0, 1.0)
-            if frozenset() in positive
-            else self.bounds(positive, epsilon)
-        )
-        neg = (
-            Interval(0.0, 0.0) if not negative else self.bounds(negative, epsilon)
-        )
+    def _shannon(self, formula: Formula, epsilon: float) -> Interval:
+        bit = branch_bit(formula)
+        p = self.probs[bit.bit_length() - 1]
+        positive, negative = cofactors(formula, bit)
+        pos = self.bounds(positive, epsilon)
+        neg = self.bounds(negative, epsilon)
         return Interval(
             p * pos.low + (1.0 - p) * neg.low,
             p * pos.high + (1.0 - p) * neg.high,
@@ -190,21 +174,7 @@ def approximate_probability(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     variables = sorted(dnf.variables())
-    ids = {v: i for i, v in enumerate(variables)}
     p = [float(probs[v]) for v in variables]
-    clauses: set[frozenset[int]] = set()
-    for clause in dnf.clauses:
-        if any(p[ids[v]] == 0.0 for v in clause):
-            continue
-        clauses.add(frozenset(ids[v] for v in clause if p[ids[v]] < 1.0))
-    if frozenset() in clauses:
-        return Interval(1.0, 1.0)
-    if not clauses:
-        return Interval(0.0, 0.0)
-    approx = _Approximator(p, max_calls, budget)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10_000 + 6 * len(variables)))
-    try:
-        return approx.bounds(frozenset(clauses), epsilon)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    formula = encode(dnf.clauses, {v: i for i, v in enumerate(variables)}, p)
+    with deep_recursion(len(variables)):
+        return _Approximator(p, max_calls, budget).bounds(formula, epsilon)

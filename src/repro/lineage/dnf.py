@@ -90,9 +90,9 @@ class EventVarInterner:
 
     The inference and sampling engines all work over integer variable ids;
     interning assigns each distinct variable one id (``0, 1, 2, ...`` in
-    first-seen order) and keeps the reverse table, so clause sets become
-    small ``frozenset[int]`` values that hash and compare fast and can index
-    straight into NumPy probability vectors or incidence matrices. One
+    first-seen order) and keeps the reverse table, so clauses become rows of
+    small ints that index straight into NumPy probability vectors or
+    incidence matrices. One
     interner can be shared across the per-answer lineages of a multi-answer
     query, giving every engine the same id space.
 
@@ -137,12 +137,6 @@ class EventVarInterner:
     def variables(self) -> tuple[EventVar, ...]:
         """All interned variables, in id order."""
         return tuple(self._vars)
-
-    def intern_clauses(self, dnf: "DNF") -> frozenset[frozenset[int]]:
-        """Clause set of *dnf* over dense integer ids."""
-        return frozenset(
-            frozenset(self.intern(v) for v in c) for c in dnf.clauses
-        )
 
     def probability_vector(
         self, probs: Mapping[EventVar, float]

@@ -8,12 +8,15 @@ variable, with the standard optimisations that make it competitive —
   ``Pr(F1 ∨ F2) = 1 - (1 - Pr(F1)) (1 - Pr(F2))``;
 * **common-variable factoring**: a variable in every clause factors out,
   ``Pr(x ∧ F') = p(x) · Pr(F')``;
-* **memoisation** of sub-formula probabilities — per call by default, or
-  across calls through a shared :class:`~repro.perf.SubformulaCache` keyed
-  by rename-invariant canonical forms, so the N per-answer lineages of a
-  multi-answer query reuse each other's independent-partition and
-  Shannon-cofactor results;
+* **memoisation** of sub-formula probabilities — per call by identity,
+  and across calls through a shared :class:`~repro.perf.SubformulaCache`
+  keyed by rename-invariant canonical forms, consulted for whole lineages
+  and their big independent components, so a repeated or isomorphic answer
+  of a multi-answer query is a lookup;
 * deterministic variables (probability 1) simplified away up front.
+
+Clauses are int bitmasks over a per-call variable numbering
+(:mod:`repro.lineage.masks`).
 
 Worst-case exponential, as it must be (#P-hardness); on nearly-read-once
 lineage it runs in near-linear time, which is what makes it a fair
@@ -22,25 +25,40 @@ competitor line for Figures 5-7.
 
 from __future__ import annotations
 
-import sys
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
-from repro.errors import DPLLBudgetError, InferenceError
-from repro.lineage.dnf import DNF, EventVar, EventVarInterner
+from repro.errors import DPLLBudgetError
+from repro.lineage.dnf import DNF, EventVar
+from repro.lineage.masks import (
+    Formula,
+    bits,
+    branch_bit,
+    cofactors,
+    common,
+    deep_recursion,
+    encode,
+    split,
+    weight,
+)
 from repro.obs.trace import span as _span
 from repro.perf.cache import SubformulaCache, canonical_key
 
-#: Clauses over integer variable ids (internal representation).
-_Clauses = frozenset[frozenset[int]]
-
-_TRUE = frozenset([frozenset()])
+#: Fewest clauses a component of the root formula needs to go through the
+#: shared :class:`SubformulaCache`: a rename-invariant key costs a sort of
+#: the component, dearer than re-solving a small one (table: DESIGN.md 7.2).
+SHARED_CACHE_FLOOR = 24
 
 
 @dataclass
 class DPLLStats:
-    """Work accounting for one :func:`dnf_probability` call."""
+    """Work accounting for one :func:`dnf_probability` call.
+
+    ``calls`` counts invocations of the recursion (the unit of
+    ``max_calls``); ``memo_hits`` counts formulas answered from the per-call
+    identity memo or the shared cache. All four are a function of the clause
+    set alone — clause order and the string hash seed do not move them.
+    """
 
     calls: int = 0
     shannon_branches: int = 0
@@ -61,15 +79,17 @@ class DPLLStats:
     def as_dict(self) -> dict:
         """Plain-dict view, the shape a
         :class:`~repro.obs.metrics.MetricsRegistry` absorbs."""
-        return {
-            "calls": self.calls,
-            "shannon_branches": self.shannon_branches,
-            "component_splits": self.component_splits,
-            "memo_hits": self.memo_hits,
-        }
+        return asdict(self)
 
 
 class _Solver:
+    """The recursion over mask formulas (:mod:`repro.lineage.masks`).
+
+    Two memo levels: every call looks its formula up in ``memo`` by identity
+    (hashing a frozenset of ints); the shared cache is consulted only for
+    the root formula and its components (:data:`SHARED_CACHE_FLOOR`).
+    """
+
     #: Calls between cooperative deadline checks (one ``time.monotonic()``
     #: per block keeps the hot recursion unburdened).
     CHECK_EVERY = 256
@@ -82,119 +102,83 @@ class _Solver:
         budget=None,
     ) -> None:
         self.probs = probs
-        self.memo: dict[_Clauses, float] = {}
+        self.memo: dict[Formula, float] = {}
         self.stats = DPLLStats()
         self.max_calls = max_calls
         self.cache = cache
         self.budget = budget
-        # Canonical keys are O(|F| log |F|) to build; remember them per
-        # identical clause set so repeats within this call pay only a dict
-        # lookup before hitting the shared cache.
-        self._keys: dict[_Clauses, tuple] = {}
 
-    def probability(self, clauses: _Clauses) -> float:
-        self.stats.calls += 1
-        if self.stats.calls > self.max_calls:
+    def probability(self, formula: Formula, root: bool = False) -> float:
+        stats = self.stats
+        stats.calls += 1
+        if stats.calls > self.max_calls:
             raise DPLLBudgetError(
                 f"DPLL exceeded the budget of {self.max_calls} calls; the "
                 f"lineage is intractable for exact intensional evaluation"
             )
-        if self.budget is not None and self.stats.calls % self.CHECK_EVERY == 0:
+        if self.budget is not None and stats.calls % self.CHECK_EVERY == 0:
             self.budget.checkpoint("dpll")
-        if not clauses:
+        if not formula:
             return 0.0
-        if frozenset() in clauses:
+        if 0 in formula:
             return 1.0
-        if self.cache is not None:
-            key = self._keys.get(clauses)
-            if key is None:
-                key = canonical_key(clauses, self.probs)
-                self._keys[clauses] = key
-            hit = self.cache.get(key)
-            if hit is not None:
-                self.stats.memo_hits += 1
-                return hit
-            result = self._components(clauses)
-            self.cache.put(key, result)
-            return result
-        hit = self.memo.get(clauses)
+        hit = self.memo.get(formula)
         if hit is not None:
-            self.stats.memo_hits += 1
+            stats.memo_hits += 1
             return hit
-
-        result = self._components(clauses)
-        self.memo[clauses] = result
+        if root and self.cache is not None:
+            result = self._shared(formula, self._components, True)
+        else:
+            result = self._components(formula)
+        self.memo[formula] = result
         return result
 
-    def _components(self, clauses: _Clauses) -> float:
+    def _components(self, formula: Formula, root: bool = False) -> float:
         """Split into variable-disjoint components; multiply failures."""
-        groups = _split_components(clauses)
+        groups = split(formula)
         if len(groups) == 1:
-            return self._factor(clauses)
+            return self._factor(formula)
         self.stats.component_splits += 1
         failure = 1.0
         for g in groups:
-            failure *= 1.0 - self._factor(g)
+            if root and len(g) >= SHARED_CACHE_FLOOR:
+                failure *= 1.0 - self._shared(g, self._factor)
+            else:
+                failure *= 1.0 - self._factor(g)
             if failure == 0.0:
                 break
         return 1.0 - failure
 
-    def _factor(self, clauses: _Clauses) -> float:
+    def _shared(self, formula: Formula, solve, *args) -> float:
+        """``solve(formula, *args)`` through the rename-invariant cache."""
+        key = canonical_key([bits(c) for c in formula], self.probs)
+        hit = self.cache.get(key)
+        if hit is not None:
+            self.stats.memo_hits += 1
+            return hit
+        result = solve(formula, *args)
+        self.cache.put(key, result)
+        return result
+
+    def _factor(self, formula: Formula) -> float:
         """Factor out variables common to every clause, then branch."""
-        common = frozenset.intersection(*clauses)
-        if common:
-            weight = 1.0
-            for v in common:
-                weight *= self.probs[v]
-            rest = frozenset(c - common for c in clauses)
-            if frozenset() in rest:
-                return weight
-            return weight * self.probability(rest)
-        return self._shannon(clauses)
+        shared = common(formula)
+        if not shared:
+            return self._shannon(formula)
+        w = weight(shared, self.probs)
+        rest = frozenset([c ^ shared for c in formula])
+        if 0 in rest:
+            return w
+        return w * self.probability(rest)
 
-    def _shannon(self, clauses: _Clauses) -> float:
-        """Branch on the most frequent variable."""
+    def _shannon(self, formula: Formula) -> float:
+        """Branch on the most frequent variable (lowest id on ties)."""
         self.stats.shannon_branches += 1
-        counts: Counter[int] = Counter()
-        for c in clauses:
-            counts.update(c)
-        var, _ = counts.most_common(1)[0]
-        p = self.probs[var]
-        positive = frozenset(c - {var} for c in clauses if var in c) | frozenset(
-            c for c in clauses if var not in c
-        )
-        negative = frozenset(c for c in clauses if var not in c)
-        if frozenset() in positive:
-            pos = 1.0
-        else:
-            pos = self.probability(positive)
-        neg = self.probability(negative)
-        return p * pos + (1.0 - p) * neg
-
-
-def _split_components(clauses: _Clauses) -> list[_Clauses]:
-    """Partition clauses into groups sharing no variable (union-find)."""
-    parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for c in clauses:
-        it = iter(c)
-        first = next(it)
-        parent.setdefault(first, first)
-        for v in it:
-            parent.setdefault(v, v)
-            rf, rv = find(first), find(v)
-            if rf != rv:
-                parent[rv] = rf
-    acc: dict[int, list[frozenset[int]]] = {}
-    for c in clauses:
-        acc.setdefault(find(next(iter(c))), []).append(c)
-    return [frozenset(g) for g in acc.values()]
+        bit = branch_bit(formula)
+        p = self.probs[bit.bit_length() - 1]
+        positive, negative = cofactors(formula, bit)
+        pos = 1.0 if 0 in positive else self.probability(positive)
+        return p * pos + (1.0 - p) * self.probability(negative)
 
 
 def dnf_probability(
@@ -225,13 +209,13 @@ def dnf_probability(
         Optional :class:`~repro.resilience.QueryBudget`; its deadline is
         checked cooperatively every :attr:`_Solver.CHECK_EVERY` calls.
     stats:
-        Optional accounting object, filled in place.
+        Optional accounting object, filled in place — also when the solve
+        raises, so a capped attempt reports the calls it made.
     cache:
-        Optional shared :class:`~repro.perf.SubformulaCache`. When given, it
-        replaces the per-call memo: every solved subformula is stored under
-        a rename-invariant canonical key, so later calls (e.g. the other
-        answers of the same query) reuse the work. ``stats.memo_hits`` then
-        counts shared-cache hits.
+        Optional shared :class:`~repro.perf.SubformulaCache`, consulted
+        beside the per-call memo for the whole formula and for each of its
+        independent components of :data:`SHARED_CACHE_FLOOR` clauses or
+        more; ``stats.memo_hits`` counts hits of both levels.
 
     Examples
     --------
@@ -261,37 +245,21 @@ def dnf_probability(
         return 1.0
     if dnf.is_false:
         return 0.0
-    interner = EventVarInterner()
-    for v in sorted(dnf.variables()):
-        interner.intern(v)
-    p = interner.probability_vector(probs)
-    clauses: set[frozenset[int]] = set()
-    for clause in dnf.clauses:
-        if any(p[interner.id_of(v)] == 0.0 for v in clause):
-            continue
-        reduced = frozenset(
-            interner.id_of(v) for v in clause if p[interner.id_of(v)] < 1.0
-        )
-        clauses.add(reduced)
-    if frozenset() in clauses:
+    variables = sorted(dnf.variables())
+    p = [float(probs[v]) for v in variables]
+    formula = encode(dnf.clauses, {v: i for i, v in enumerate(variables)}, p)
+    if 0 in formula:
         return 1.0
-    if not clauses:
+    if not formula:
         return 0.0
     solver = _Solver(p, max_calls, cache, budget)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10_000 + 6 * len(interner)))
     with _span(
-        "dnf_probability", variables=len(interner), clauses=len(clauses)
-    ) as sp:
+        "dnf_probability", variables=len(p), clauses=len(formula)
+    ) as sp, deep_recursion(len(p)):
         try:
-            result = solver.probability(frozenset(clauses))
-        finally:
-            sys.setrecursionlimit(old_limit)
-        for name, value in solver.stats.as_dict().items():
-            sp.add(name, value)
-    if stats is not None:
-        stats.calls = solver.stats.calls
-        stats.shannon_branches = solver.stats.shannon_branches
-        stats.component_splits = solver.stats.component_splits
-        stats.memo_hits = solver.stats.memo_hits
-    return result
+            return solver.probability(formula, root=True)
+        finally:  # a capped or timed-out solve reports its calls too
+            for name, value in solver.stats.as_dict().items():
+                sp.add(name, value)
+                if stats is not None:
+                    setattr(stats, name, value)

@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 
 from repro.errors import CapacityError
 from repro.lineage.dnf import DNF, EventVar
+from repro.lineage.masks import deep_recursion
 from repro.obs.trace import span as _span
 from repro.perf.cache import SubformulaCache
 
@@ -223,17 +224,10 @@ def build_obdd(
         memo[clauses] = node_id
         return node_id
 
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10_000 + 4 * len(order)))
     with _span(
         "build_obdd", variables=len(order), clauses=len(dnf.clauses)
-    ) as sp:
-        try:
-            obdd.root = compile_clauses(dnf.clauses)
-        finally:
-            sys.setrecursionlimit(old_limit)
+    ) as sp, deep_recursion(len(order)):
+        obdd.root = compile_clauses(dnf.clauses)
         sp.add("obdd_nodes", len(obdd))
     if cache is not None:
         cache.put(structure_key, (tuple(obdd.nodes), obdd.root))

@@ -43,7 +43,8 @@ def test_sampling_close_to_exact(small_db):
 
 def test_full_lineage_budget(small_db):
     bench = benchmark_query("S2")
-    result = run_full_lineage(small_db, bench, max_calls=10)
+    # the first answer's lineage needs 10 calls
+    result = run_full_lineage(small_db, bench, max_calls=5)
     assert result.timed_out
     assert result.seconds >= 0
 

@@ -99,14 +99,46 @@ def test_stats_populated():
     assert stats.shannon_branches > 0
 
 
+def ladder_lineage(n: int, density: float, seed: int):
+    """``R(x), S(x,y), T(y)`` lineage over a random bipartite graph: the
+    shape of the non-hierarchical query, hard for DPLL even with the memo
+    (K_{n,n} is not: its symmetric cofactors all hit the memo)."""
+    rng = random.Random(seed)
+    r = [EventVar("R", (i,)) for i in range(n)]
+    t = [EventVar("T", (j,)) for j in range(n)]
+    clauses, probs = [], {v: rng.uniform(0.1, 0.9) for v in r + t}
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < density:
+                s = EventVar("S", (i, j))
+                probs[s] = rng.uniform(0.1, 0.9)
+                clauses.append(frozenset({r[i], s, t[j]}))
+    return DNF(clauses), probs
+
+
 def test_budget_guard():
-    # K_{n,n}-style lineage: x_i y_j for all i,j — exponential for DPLL.
-    xs = [EventVar("X", (i,)) for i in range(12)]
-    ys = [EventVar("Y", (j,)) for j in range(12)]
-    f = DNF([frozenset({x, y}) for x in xs for y in ys])
-    probs = {v: 0.5 for v in xs + ys}
+    f, probs = ladder_lineage(12, 0.4, seed=5)
+    full = DPLLStats()
+    dnf_probability(f, probs, stats=full)
+    assert full.calls > 5000  # thousands of calls despite memoisation
+    stats = DPLLStats()
     with pytest.raises(InferenceError, match="budget"):
-        dnf_probability(f, probs, max_calls=50)
+        dnf_probability(f, probs, max_calls=50, stats=stats)
+    # the raise happens on the first call past the cap ...
+    assert stats.calls == 51
+    # ... and the capped solve still reports the work it did
+    assert stats.shannon_branches > 0
+
+
+def test_capped_solve_reports_calls_in_its_span():
+    from repro.obs import Tracer
+
+    f, probs = ladder_lineage(12, 0.4, seed=5)
+    with Tracer() as tracer:
+        with pytest.raises(InferenceError):
+            dnf_probability(f, probs, max_calls=50)
+    (span,) = [s for s in tracer.roots if s.name == "dnf_probability"]
+    assert span.counters["calls"] == 51
 
 
 def test_hard_bipartite_still_exact_with_budget():

@@ -168,6 +168,36 @@ class TestParallelMarginals:
             )
 
 
+class TestDpllCallsOnSpan:
+    def network(self):
+        net = AndOrNetwork()
+        x, y, z = (net.add_leaf(p) for p in (0.3, 0.5, 0.7))
+        a = net.add_gate(NodeKind.AND, [(x, 1.0), (y, 1.0)])
+        b = net.add_gate(NodeKind.AND, [(y, 1.0), (z, 1.0)])
+        c = net.add_gate(NodeKind.AND, [(z, 1.0), (x, 1.0)])
+        return net, net.add_gate(NodeKind.OR, [(a, 1.0), (b, 1.0), (c, 1.0)])
+
+    def dpll_calls(self, dpll_max_calls, raises=None):
+        from repro.obs import Tracer
+
+        net, root = self.network()
+        with Tracer() as tracer:
+            if raises is None:
+                solve_slice(net, [root], "dpll", dpll_max_calls)
+            else:
+                with pytest.raises(raises):
+                    solve_slice(net, [root], "dpll", dpll_max_calls)
+        (span,) = [s for s in tracer.roots if s.name == "solve_slice"]
+        return span.counters["dpll_calls"]
+
+    def test_finished_solve(self):
+        assert self.dpll_calls(1000) > 2
+
+    def test_capped_solve_shows_the_calls_it_made(self):
+        # counted on the way out of the failed attempt, not lost with it
+        assert self.dpll_calls(2, raises=InferenceError) == 3
+
+
 class TestScheduling:
     def test_estimate_component_narrow(self):
         net, roots = multi_component_network(random.Random(41), 1)
