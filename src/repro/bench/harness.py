@@ -35,8 +35,10 @@ class MethodResult:
     offending: int = 0
     #: Network size — partial lineage only.
     network_nodes: int = 0
-    #: DPLL work — full lineage only.
+    #: Exact-solver work — full lineage only: DPLL recursion calls, and
+    #: variables summed out where the lineage was narrow enough to eliminate.
     dpll_calls: int = 0
+    eliminated: int = 0
     #: True when the method hit its work budget and gave up.
     timed_out: bool = False
     #: Sampling throughput (drawn samples per wall-clock second) — sampling
@@ -58,6 +60,8 @@ class MethodResult:
             counters["network_nodes"] = self.network_nodes
         if self.dpll_calls:
             counters["dpll_calls"] = self.dpll_calls
+        if self.eliminated:
+            counters["eliminated"] = self.eliminated
         if self.samples_per_sec:
             counters["samples_per_sec"] = self.samples_per_sec
         if self.cache_hit_rate is not None:
@@ -146,14 +150,14 @@ def run_full_lineage(
     """The MayBMS-style competitor: ground full lineage, solve each DNF exactly.
 
     Passing a shared :class:`~repro.perf.SubformulaCache` lets the N
-    per-answer DPLL solves reuse each other's subformula probabilities; the
+    per-answer solves reuse each other's subformula probabilities; the
     result then carries the cache's hit-rate and counters.
     """
     start = time.perf_counter()
     dnfs, probs = answer_lineages(bench.query, db)
     answers: dict[Row, float] = {}
     stats = DPLLStats()
-    calls = 0
+    calls = eliminated = 0
     timed_out = False
     for answer, dnf in dnfs.items():
         try:
@@ -164,12 +168,14 @@ def run_full_lineage(
             timed_out = True
             break
         calls += stats.calls
+        eliminated += stats.eliminated
     seconds = time.perf_counter() - start
     result = MethodResult(
         "full-lineage-dpll",
         answers,
         seconds,
         dpll_calls=calls,
+        eliminated=eliminated,
         timed_out=timed_out,
     )
     if cache is not None:

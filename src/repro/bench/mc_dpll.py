@@ -170,6 +170,7 @@ def run_benchmark(
             "answers": len(fl.answers),
             "seconds": fl.seconds,
             "dpll_calls": fl.dpll_calls,
+            "eliminated": fl.eliminated,
             "warm_seconds": warm.seconds,
             "warm_dpll_calls": warm.dpll_calls,
             "cache_hits": cache.stats.hits - before_hits,

@@ -142,12 +142,15 @@ class EvaluationResult:
         self, kind: str, *, seconds: float, answers: int,
         inference: str = "", rungs: dict | None = None, degraded: int = 0,
         cache=None, budget=None, workers=None, error: str | None = None,
+        solved=None,
     ) -> dict:
         """Append one :mod:`repro.obs.telemetry` record for this result.
 
         The query hash is the digest of the plan's operator signature, so
         re-evaluations of the same plan shape aggregate under one hash in
-        the flight log regardless of instance data.
+        the flight log regardless of instance data. *solved* is the handle
+        of the span the final inference ran under: with a tracer recording,
+        its ``solve_slice`` spans say which engine answered each slice.
         """
         from repro.obs import telemetry
 
@@ -164,6 +167,7 @@ class EvaluationResult:
             network_nodes=len(self.network),
             operators=telemetry.operator_dicts(self.stats),
             rungs=dict(rungs or {}),
+            engines=telemetry.engines_dict(solved),
             degraded=degraded,
             cache=telemetry.cache_dict(cache),
             budget=telemetry.budget_dict(budget),
@@ -284,7 +288,7 @@ class EvaluationResult:
             "query", seconds=time.perf_counter() - flight_start,
             answers=len(answers), inference=engine,
             rungs={"exact": len(answers)},
-            cache=cache, budget=budget, workers=workers,
+            cache=cache, budget=budget, workers=workers, solved=sp,
         )
         return answers
 
@@ -329,19 +333,20 @@ class EvaluationResult:
         budget = budget if budget is not None else self.budget
         rows = list(self.relation.items())
         flight_start = time.perf_counter()
-        outcomes = resilient_marginals(
-            self.network,
-            [l for _, l, _ in rows],
-            budget=budget,
-            workers=workers if workers is not None else self.workers,
-            cache=cache,
-            timeout=timeout,
-            max_retries=max_retries,
-            chunks_per_worker=chunks_per_worker,
-            fault_plan=fault_plan,
-            registry=registry,
-            seed=seed,
-        )
+        with _span("resilient_answer_probabilities") as sp:
+            outcomes = resilient_marginals(
+                self.network,
+                [l for _, l, _ in rows],
+                budget=budget,
+                workers=workers if workers is not None else self.workers,
+                cache=cache,
+                timeout=timeout,
+                max_retries=max_retries,
+                chunks_per_worker=chunks_per_worker,
+                fault_plan=fault_plan,
+                registry=registry,
+                seed=seed,
+            )
         answers = {
             row: AnswerResult.from_marginal(row, p, outcomes[l])
             for row, l, p in rows
@@ -353,7 +358,7 @@ class EvaluationResult:
             "ladder", seconds=time.perf_counter() - flight_start,
             answers=len(answers), inference="ladder", rungs=rungs,
             degraded=sum(1 for a in answers.values() if a.degraded),
-            cache=cache, budget=budget, workers=workers,
+            cache=cache, budget=budget, workers=workers, solved=sp,
         )
         return answers
 

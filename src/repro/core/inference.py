@@ -279,22 +279,20 @@ def assignment_probability(
 
 
 def _dpll_marginal(
-    net: AndOrNetwork,
-    node: int,
-    max_calls: int = 5_000_000,
-    cache=None,
-    budget=None,
+    net: AndOrNetwork, node: int, max_calls: int, cache, budget, stats
 ) -> float:
-    """``Pr(node=1)`` by compiling the partial-lineage DNF and running the
-    exact DPLL solver — the structure-exploiting path for high-treewidth
-    networks (the paper: "on this we run any general purpose probabilistic
-    inference algorithm"). The calls it made, also when the cap or the
-    deadline ended it, are added to the caller's span as ``dpll_calls``."""
+    """``Pr(node=1)`` by compiling the partial-lineage DNF and solving it
+    exactly (:func:`repro.lineage.exact.dnf_probability`: elimination when
+    the lineage is narrow, DPLL beyond) — the structure-exploiting path for
+    high-treewidth networks (the paper: "on this we run any general purpose
+    probabilistic inference algorithm"). The work it did, also when the cap
+    or the deadline ended it, fills *stats* (a
+    :class:`~repro.lineage.exact.DPLLStats`) and is added to the caller's
+    span as ``dpll_calls`` and ``eliminated``."""
     from repro.core.compile import partial_lineage_dnf
-    from repro.lineage.exact import DPLLStats, dnf_probability
+    from repro.lineage.exact import dnf_probability
 
     dnf, probs = partial_lineage_dnf(net, node)
-    stats = DPLLStats()
     try:
         return dnf_probability(
             dnf, probs, max_calls=max_calls, cache=cache, budget=budget,
@@ -302,6 +300,19 @@ def _dpll_marginal(
         )
     finally:
         _add("dpll_calls", stats.calls)
+        _add("eliminated", stats.eliminated)
+
+
+def _lineage_marginal(sp, net, node, max_calls, cache, budget) -> float:
+    """:func:`_dpll_marginal` for a span with one target: *sp* is annotated
+    with the engine that answered and its width."""
+    from repro.lineage.exact import DPLLStats
+
+    stats = DPLLStats()
+    try:
+        return _dpll_marginal(net, node, max_calls, cache, budget, stats)
+    finally:
+        sp.annotate(path=stats.engine, width=stats.width)
 
 
 def compute_marginal(
@@ -318,26 +329,33 @@ def compute_marginal(
 
     * ``"ve"`` — variable elimination on the decomposed factors, exponential
       in the network treewidth (Theorem 5.17's counterpart);
-    * ``"dpll"`` — compile the partial-lineage DNF and run exact DPLL, which
-      exploits context-specific decompositions treewidth cannot see;
+    * ``"dpll"`` — compile the partial-lineage DNF and solve it exactly
+      (:func:`repro.lineage.exact.dnf_probability`: bucket elimination over
+      the clauses when their width allows, DPLL — which exploits
+      context-specific decompositions treewidth cannot see — beyond);
     * ``"auto"`` (default) — variable elimination on narrow networks (width
       at most :data:`VE_WIDTH_LIMIT`, e.g. hash-collapsed tree networks),
-      DPLL beyond; if DNF compilation itself is infeasible, fall back to
-      variable elimination up to :data:`VE_WIDTH_HARD_LIMIT`.
+      the lineage path beyond; if DNF compilation itself is infeasible, fall
+      back to variable elimination up to :data:`VE_WIDTH_HARD_LIMIT`.
+
+    The span's ``path`` names the engine that answered: ``ve``,
+    ``lineage-ve``, ``dpll``, or ``cache`` (a root hit in *cache*).
 
     *cache* is an optional shared :class:`~repro.perf.SubformulaCache` for
-    the DPLL path, letting repeated marginal computations (e.g. one per
+    the lineage path, letting repeated marginal computations (e.g. one per
     answer tuple) reuse subformula probabilities across nodes. *budget* is
     an optional :class:`~repro.resilience.QueryBudget` checkpointed
-    cooperatively by both paths (its ``max_width`` also overrides
-    :data:`VE_WIDTH_LIMIT` for the auto engine choice).
+    cooperatively by every path (its ``max_width`` also overrides
+    :data:`VE_WIDTH_LIMIT` for the auto engine choice and the lineage
+    solver's own width limit).
     """
     if node == EPSILON:
         return 1.0
     with _span("compute_marginal", engine=engine) as sp:
         if engine == "dpll":
-            sp.annotate(path="dpll")
-            return _dpll_marginal(net, node, dpll_max_calls, cache, budget)
+            return _lineage_marginal(
+                sp, net, node, dpll_max_calls, cache, budget
+            )
         if engine not in ("auto", "ve"):
             raise ValueError(f"unknown inference engine {engine!r}")
         if budget is not None:
@@ -353,8 +371,9 @@ def compute_marginal(
             and induced_width(factors, keep={node}) > width_limit
         ):
             try:
-                sp.annotate(path="dpll")
-                return _dpll_marginal(net, node, dpll_max_calls, cache, budget)
+                return _lineage_marginal(
+                    sp, net, node, dpll_max_calls, cache, budget
+                )
             except CapacityError:
                 pass  # DNF blow-up: retry below with variable elimination
         sp.annotate(path="ve")

@@ -17,6 +17,7 @@ The empty clause is mask ``0``: a formula is true iff ``0 in formula``.
 
 from __future__ import annotations
 
+import heapq
 import sys
 from contextlib import contextmanager
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
@@ -163,6 +164,67 @@ def cofactors(formula: Formula, bit: int) -> tuple[Formula, Formula]:
         frozenset([c & keep for c in formula]),
         frozenset([c for c in formula if not c & bit]),
     )
+
+
+def shared_variables(formula: Iterable[int]) -> int:
+    """Mask of the variables occurring in two or more clauses.
+
+    >>> bin(shared_variables([0b0011, 0b0110, 0b1000]))
+    '0b10'
+    """
+    once = twice = 0
+    for c in formula:
+        twice |= once & c
+        once |= c
+    return twice
+
+
+def min_degree_order(
+    scopes: Iterable[int], limit: int
+) -> tuple[list[tuple[int, int]] | None, int]:
+    """Greedy min-degree elimination order over the variables of *scopes*.
+
+    Two variables are adjacent when some scope (a mask) holds both; each
+    step eliminates the variable of least degree, lowest id on ties (a lazy
+    heap keyed ``(degree, id)``), and joins its neighbours into a clique.
+    Returns ``(order, width)``: *order* lists ``(variable, neighbour mask at
+    elimination)`` pairs and *width* is the largest neighbour count. The
+    moment the *minimum* degree exceeds *limit* the pass is abandoned and
+    ``(None, that degree)`` comes back — the order is over the limit by at
+    least that much, and nothing more is computed. A function of the scope
+    set alone.
+
+    >>> min_degree_order([0b011, 0b110], 2)    # a path 0 - 1 - 2
+    ([(0, 2), (1, 4), (2, 0)], 1)
+    >>> min_degree_order([0b111], 1)           # a triangle has width 2
+    (None, 2)
+    """
+    adj: dict[int, int] = {}
+    for s in scopes:
+        for v in bits(s):
+            adj[v] = adj.get(v, 0) | s
+    heap = []
+    for v, mask in adj.items():
+        adj[v] = mask = mask & ~(1 << v)
+        heap.append((mask.bit_count(), v))
+    heapq.heapify(heap)
+    order: list[tuple[int, int]] = []
+    width = 0
+    while heap:
+        degree, v = heapq.heappop(heap)
+        nbrs = adj.get(v)
+        if nbrs is None or nbrs.bit_count() != degree:
+            continue  # eliminated, or re-ranked by a fresher entry
+        if degree > limit:
+            return None, degree
+        width = max(width, degree)
+        del adj[v]
+        order.append((v, nbrs))
+        gone = ~(1 << v)
+        for w in bits(nbrs):
+            adj[w] = mask = (adj[w] | nbrs) & gone & ~(1 << w)
+            heapq.heappush(heap, (mask.bit_count(), w))
+    return order, width
 
 
 @contextmanager

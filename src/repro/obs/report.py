@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 from repro.core.executor import PartialLineageEvaluator
 from repro.core.explain import explain as explain_plan
 from repro.core.plan import left_deep_plan
-from repro.core.treeprop import is_tree_factorable
 from repro.db.database import ProbabilisticDatabase
 from repro.db.schema import Row
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import add, annotate, span
+from repro.obs.trace import Tracer, add, annotate, current_tracer, span
 from repro.perf.cache import SubformulaCache
 from repro.perf.parallel import group_by_component, solve_slice
 from repro.query.syntax import ConjunctiveQuery
@@ -42,9 +41,11 @@ class ExplainReport:
     evaluation purely extensional, Sec. 4); ``component_sizes`` is the
     partial-lineage decomposition of Sec. 4.2 (many small components ⇔
     near-extensional, one giant component ⇔ intensional-hard);
-    ``slices`` records, per component, the inference engine chosen and the
-    scheduling cost estimate of :func:`repro.perf.parallel
-    .estimate_component` against the measured solve time.
+    ``slices`` records, per component, the inference engine that answered
+    (read from the ``solve_slice`` span, with the lineage order's width and
+    the solver's work where the lineage path ran) and the scheduling cost
+    estimate of :func:`repro.perf.parallel.estimate_component` against the
+    measured solve time.
     """
 
     query: str
@@ -168,10 +169,12 @@ class ExplainReport:
         if self.slices:
             lines.append("")
             has_rung = any("rung" in s for s in self.slices)
-            headers = ["component", "size", "targets", "engine", "est. cost",
-                       "seconds"]
+            headers = ["component", "size", "targets", "engine", "width",
+                       "eliminated", "dpll calls", "est. cost", "seconds"]
             rows = [
                 [i, s["size"], s["targets"], s["engine"],
+                 "-" if s.get("width") is None else s["width"],
+                 s.get("eliminated", 0), s.get("dpll_calls", 0),
                  f"{s['estimated_cost']:.0f}", f"{s['seconds']:.5f}"]
                 for i, s in enumerate(self.slices)
             ]
@@ -262,6 +265,22 @@ class ExplainReport:
         return "\n".join(lines)
 
 
+def _engine_that_ran(root) -> dict:
+    """Engine, width and solver work of the ``solve_slice`` span under
+    *root* — what ran, not what the predicates would have picked. A ladder
+    that skipped its exact rung has no such span."""
+    solves = root.find("solve_slice")
+    if not solves:
+        return {"engine": "skipped", "width": None}
+    solve = solves[0]
+    return {
+        "engine": solve.attrs.get("path", "?"),
+        "width": solve.attrs.get("width"),
+        "eliminated": int(solve.counters.get("eliminated", 0)),
+        "dpll_calls": int(solve.counters.get("dpll_calls", 0)),
+    }
+
+
 def _secs(value) -> str:
     return "-" if value is None else f"{value:.5f}"
 
@@ -320,6 +339,15 @@ def build_explain_report(
     """
     if registry is None:
         registry = MetricsRegistry()
+    if current_tracer() is None:
+        # the per-slice engines are read from the solve's own spans
+        with Tracer():
+            return build_explain_report(
+                db, query, join_order=join_order, engine=engine,
+                workers=workers, dpll_max_calls=dpll_max_calls,
+                registry=registry, budget=budget,
+                circuit_cache=circuit_cache, top_k=top_k,
+            )
     evaluator = PartialLineageEvaluator(db, engine=engine, workers=workers)
     plan = left_deep_plan(query, join_order)
     with span("explain", query=str(query), engine=engine):
@@ -341,16 +369,13 @@ def build_explain_report(
             budget = budget.start()
             fractions = exact_fractions(works)
         for index, work in enumerate(works):
-            tree = is_tree_factorable(work.slice.network)
-            slice_engine = "tree" if tree else ("ve" if work.narrow else "dpll")
             t0 = time.perf_counter()
             record = {
                 "size": len(work.slice.network) - 1,  # slice minus ε
                 "targets": len(work.targets),
-                "engine": slice_engine,
                 "estimated_cost": work.cost,
             }
-            with span("explain_slice", engine=slice_engine) as s:
+            with span("explain_slice") as s:
                 if budget is not None:
                     from repro.resilience.ladder import (
                         resilient_component_marginals,
@@ -386,6 +411,8 @@ def build_explain_report(
                         narrow=work.narrow,
                     )
                 s.add("targets", len(work.targets))
+                record.update(_engine_that_ran(s.span))
+                s.annotate(engine=record["engine"])
             seconds = time.perf_counter() - t0
             for sub, prob in solved.items():
                 marginals[work.slice.to_orig(sub)] = prob

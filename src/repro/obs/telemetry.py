@@ -83,6 +83,7 @@ QUERY_FIELD_DEFAULTS: dict = {
     "network_nodes": 0,
     "operators": [],
     "rungs": {},
+    "engines": {},
     "degraded": 0,
     "cache": {},
     "budget": {},
@@ -307,7 +308,8 @@ def validate_flight_records(source) -> list[str]:
             for field, type_ in (
                 ("query_hash", str), ("engine", str), ("seconds", (int, float)),
                 ("answers", int), ("offending", int), ("network_nodes", int),
-                ("operators", list), ("rungs", dict), ("degraded", int),
+                ("operators", list), ("rungs", dict), ("engines", dict),
+                ("degraded", int),
                 ("cache", dict), ("budget", dict),
             ):
                 if field in rec:
@@ -363,6 +365,20 @@ def cache_dict(cache) -> dict:
     if hasattr(stats, "as_dict"):
         return dict(stats.as_dict())
     return {}
+
+
+def engines_dict(handle) -> dict:
+    """The ``engines`` block: how many component slices each exact engine
+    answered (``tree`` / ``ve`` / ``junction`` / ``lineage-ve`` / ``dpll`` /
+    ``cache``), read from the ``solve_slice`` spans recorded under the span
+    *handle* — ``{}`` when no tracer was recording."""
+    root = getattr(handle, "span", None)
+    counts: dict = {}
+    if root is not None:
+        for s in root.find("solve_slice"):
+            path = s.attrs.get("path", "?")
+            counts[path] = counts.get(path, 0) + 1
+    return counts
 
 
 def operator_dicts(stats) -> list[dict]:

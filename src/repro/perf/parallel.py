@@ -76,6 +76,10 @@ __all__ = [
 #: than this loses wall-clock.
 DEFAULT_MIN_PARALLEL_COST = 250_000
 
+#: What :attr:`~repro.lineage.exact.DPLLStats.engine` can report, cheapest
+#: first; a slice with several targets is labelled with the dearest.
+_LINEAGE_ENGINES = ("cache", "lineage-ve", "dpll")
+
 #: Cost charged per factor when a component blows the width budget and will
 #: go to the DPLL engine (whose true cost is structure-, not width-, bound):
 #: the table size of a width-budget clique.
@@ -188,9 +192,15 @@ def solve_slice(
     :data:`~repro.core.inference.VE_WIDTH_LIMIT` (one shared clique-tree
     calibration when the component carries several targets, a single
     evidence-reduced elimination when it carries one), and the cache-backed
-    DPLL beyond (falling back to variable elimination if DNF compilation
-    blows up); ``"ve"`` forces the elimination paths, ``"dpll"`` the DPLL
-    path. *narrow* optionally forwards an already-computed
+    lineage path beyond — compile each target's DNF and solve it exactly,
+    by elimination over its clauses or by DPLL, as
+    :func:`repro.lineage.exact.dnf_probability` decides (falling back to
+    network variable elimination if DNF compilation blows up); ``"ve"``
+    forces the network elimination paths, ``"dpll"`` the lineage path. The
+    span's ``path`` names the engine that answered — ``tree``, ``ve``,
+    ``junction``, ``lineage-ve``, ``dpll`` or ``cache`` (every target a root
+    hit in *cache*) — with the lineage order's ``width`` and ``eliminated``
+    / ``dpll_calls`` counters. *narrow* optionally forwards an already-computed
     :func:`estimate_component` verdict so the probe is not repeated.
     *budget* is an optional :class:`~repro.resilience.QueryBudget` threaded
     into every backend's cooperative checkpoints (its ``max_width`` also
@@ -240,15 +250,20 @@ def solve_slice(
                     t: 1.0 if t == EPSILON else tree.marginal(t)
                     for t in targets
                 }
-        sp.annotate(path="dpll")
+        # the lineage path: which engine answers is the exact solver's call,
+        # so the span is annotated from what it reports, worst target first
+        from repro.lineage.exact import DPLLStats
+
+        path, width = "cache", 0
         out: dict[int, float] = {}
         for t in targets:
             if t == EPSILON:
                 out[t] = 1.0
                 continue
+            stats = DPLLStats()
             try:
                 out[t] = _dpll_marginal(
-                    subnet, t, dpll_max_calls, cache, budget
+                    subnet, t, dpll_max_calls, cache, budget, stats
                 )
             except CapacityError:
                 # DNF blow-up: retry with plain variable elimination, exactly
@@ -257,6 +272,10 @@ def solve_slice(
                 out[t] = compute_marginal(
                     subnet, t, "ve", dpll_max_calls, budget=budget
                 )
+            finally:
+                path = max(path, stats.engine, key=_LINEAGE_ENGINES.index)
+                width = max(width, stats.width)
+                sp.annotate(path=path, width=width)
         return out
 
 

@@ -54,8 +54,10 @@ class QueryBudget:
     #: Cap on And-Or network size during evaluation (offending-tuple-dense
     #: instances grow the network; this bounds the memory/inference exposure).
     max_network_nodes: int | None = None
-    #: Elimination-width cap for the exact VE/junction paths; ``None`` keeps
-    #: the engine default (:data:`repro.core.inference.VE_WIDTH_LIMIT`).
+    #: Elimination-width cap for the exact VE/junction paths and for the
+    #: lineage solver's elimination engine; ``None`` keeps each engine's
+    #: default (:data:`repro.core.inference.VE_WIDTH_LIMIT`,
+    #: :data:`repro.lineage.exact.ELIMINATION_WIDTH_LIMIT`).
     max_width: int | None = None
     #: DPLL call budget for exact DNF solves.
     dpll_max_calls: int = 5_000_000
@@ -177,7 +179,8 @@ class QueryBudget:
             )
 
     def width_limit(self, default: int) -> int:
-        """The VE width cap to use: ``max_width`` if set, else *default*."""
+        """The elimination width cap to use: ``max_width`` if set, else the
+        calling engine's *default*."""
         return default if self.max_width is None else self.max_width
 
 

@@ -13,6 +13,8 @@ from repro.bench.reporting import format_table
 from repro.workload.generator import WorkloadParams, generate_database
 from repro.workload.queries import benchmark_query
 
+from tests.conftest import WIDE_RST, rst_database
+
 
 @pytest.fixture(scope="module")
 def small_db():
@@ -29,7 +31,8 @@ def test_methods_agree_on_small_workload(small_db):
     assert agreement(pl, sq)
     assert pl.seconds > 0 and fl.seconds > 0
     assert pl.network_nodes >= 1
-    assert fl.dpll_calls > 0
+    # narrow lineage is eliminated, wide lineage branched on: either is work
+    assert fl.dpll_calls + fl.eliminated > 0
 
 
 def test_sampling_close_to_exact(small_db):
@@ -42,11 +45,15 @@ def test_sampling_close_to_exact(small_db):
 
 
 def test_full_lineage_budget(small_db):
-    bench = benchmark_query("S2")
-    # the first answer's lineage needs 10 calls
-    result = run_full_lineage(small_db, bench, max_calls=5)
-    assert result.timed_out
+    # the call cap only meets lineage too wide to eliminate ...
+    wide = rst_database(*WIDE_RST)
+    result = run_full_lineage(wide, benchmark_query("P1"), max_calls=5)
+    assert result.timed_out and not result.answers
     assert result.seconds >= 0
+    # ... narrow lineage is answered without a single call
+    result = run_full_lineage(small_db, benchmark_query("S2"), max_calls=0)
+    assert not result.timed_out
+    assert result.dpll_calls == 0 and result.eliminated > 0
 
 
 def test_agreement_detects_mismatch(small_db):

@@ -62,3 +62,62 @@ def oracle_probability(query: ConjunctiveQuery, db: ProbabilisticDatabase) -> fl
 def rng() -> random.Random:
     """A deterministic RNG per test."""
     return random.Random(20260706)
+
+
+def rst_lineage(n: int, density: float, seed: int):
+    """``R(x), S(x,y), T(y)`` lineage over a random bipartite graph: the
+    shape of the non-hierarchical query. Every ``S`` variable is private to
+    its clause; the ``R`` and ``T`` variables form the bipartite graph whose
+    width decides the exact engine."""
+    from repro.lineage.dnf import DNF, EventVar
+
+    rng = random.Random(seed)
+    r = [EventVar("R", (i,)) for i in range(n)]
+    t = [EventVar("T", (j,)) for j in range(n)]
+    clauses, probs = [], {v: rng.uniform(0.1, 0.9) for v in r + t}
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < density:
+                s = EventVar("S", (i, j))
+                probs[s] = rng.uniform(0.1, 0.9)
+                clauses.append(frozenset({r[i], s, t[j]}))
+    return DNF(clauses), probs
+
+
+#: ``rst_lineage`` parameters whose min-degree width (18) is over the exact
+#: solver's elimination limit (16): genuinely hard, so DPLL runs — and does
+#: not finish in 100 000 calls. (A complete K_{n,n} with equal probabilities
+#: is as wide, but its symmetric cofactors all hit the memo.)
+WIDE_RST = (18, 0.8, 1)
+
+
+def rst_database(n: int, density: float, seed: int) -> ProbabilisticDatabase:
+    """One head of Table 1's P1 (``R1(h,x), S1(h,x,y), R2(h,y)``) whose
+    lineage is ``rst_lineage(n, density, seed)``."""
+    dnf, probs = rst_lineage(n, density, seed)
+    rows = {"R": {}, "S": {}, "T": {}}
+    for v in dnf.variables():
+        rows[v.relation][(0,) + v.row] = probs[v]
+    db = ProbabilisticDatabase()
+    db.add_relation("R1", ("H", "A"), rows["R"])
+    db.add_relation("S1", ("H", "A", "B"), rows["S"])
+    db.add_relation("R2", ("H", "B"), rows["T"])
+    return db
+
+
+def rst_network(n: int, density: float, seed: int, components: int = 1):
+    """``(network, roots)``: *components* independent copies of the And-Or
+    network whose root lineage is ``rst_lineage(n, density, seed + k)``."""
+    from repro.core.network import AndOrNetwork, NodeKind
+
+    net = AndOrNetwork()
+    roots = []
+    for k in range(components):
+        dnf, probs = rst_lineage(n, density, seed + k)
+        leaf = {v: net.add_leaf(probs[v]) for v in sorted(dnf.variables())}
+        roots.append(net.add_gate(NodeKind.OR, [
+            (net.add_gate(
+                NodeKind.AND, [(leaf[v], 1.0) for v in sorted(c)]), 1.0)
+            for c in sorted(dnf.clauses, key=sorted)
+        ]))
+    return net, roots

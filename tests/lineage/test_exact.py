@@ -1,4 +1,5 @@
-"""Tests for the exact DPLL DNF solver (the MayBMS proxy)."""
+"""Tests for the exact DNF solver: bucket elimination when narrow, DPLL
+(the MayBMS proxy) beyond the width limit."""
 
 import itertools
 import random
@@ -7,7 +8,14 @@ import pytest
 
 from repro.errors import InferenceError
 from repro.lineage.dnf import DNF, EventVar
-from repro.lineage.exact import DPLLStats, dnf_probability
+from repro.lineage.exact import (
+    ELIMINATION_WIDTH_LIMIT,
+    DPLLStats,
+    dnf_probability,
+)
+from repro.resilience import QueryBudget
+
+from tests.conftest import WIDE_RST, rst_lineage
 
 
 def brute_force_dnf(dnf: DNF, probs: dict[EventVar, float]) -> float:
@@ -93,34 +101,39 @@ def test_matches_brute_force_randomized():
 def test_stats_populated():
     x, y, z = (EventVar("R", (i,)) for i in range(3))
     f = DNF([{x, y}, {y, z}, {z, x}])
+    probs = {x: 0.5, y: 0.5, z: 0.5}
     stats = DPLLStats()
-    dnf_probability(f, {x: 0.5, y: 0.5, z: 0.5}, stats=stats)
-    assert stats.calls > 0
-    assert stats.shannon_branches > 0
+    assert dnf_probability(f, probs, stats=stats) == pytest.approx(0.5)
+    # a triangle is two variables wide: eliminated, no DPLL call
+    assert (stats.engine, stats.calls) == ("lineage-ve", 0)
+    assert (stats.eliminated, stats.width) == (3, 2)
+    # capped below its width the same formula is branched on
+    narrow = QueryBudget(max_width=1)
+    assert dnf_probability(f, probs, stats=stats, budget=narrow) == (
+        pytest.approx(0.5)
+    )
+    assert stats.engine == "dpll"
+    assert stats.calls > 0 and stats.shannon_branches > 0
+    assert (stats.eliminated, stats.width) == (0, 2)
 
 
-def ladder_lineage(n: int, density: float, seed: int):
-    """``R(x), S(x,y), T(y)`` lineage over a random bipartite graph: the
-    shape of the non-hierarchical query, hard for DPLL even with the memo
-    (K_{n,n} is not: its symmetric cofactors all hit the memo)."""
-    rng = random.Random(seed)
-    r = [EventVar("R", (i,)) for i in range(n)]
-    t = [EventVar("T", (j,)) for j in range(n)]
-    clauses, probs = [], {v: rng.uniform(0.1, 0.9) for v in r + t}
-    for i in range(n):
-        for j in range(n):
-            if rng.random() < density:
-                s = EventVar("S", (i, j))
-                probs[s] = rng.uniform(0.1, 0.9)
-                clauses.append(frozenset({r[i], s, t[j]}))
-    return DNF(clauses), probs
+def test_both_engines_agree_on_a_hard_shape():
+    # width 9: eliminated by default, thousands of DPLL calls (despite the
+    # memo) when the budget's max_width sends it to the recursion
+    f, probs = rst_lineage(12, 0.4, seed=5)
+    ve, dpll = DPLLStats(), DPLLStats()
+    eliminated = dnf_probability(f, probs, stats=ve)
+    branched = dnf_probability(
+        f, probs, stats=dpll, budget=QueryBudget(max_width=8)
+    )
+    assert (ve.calls, ve.width) == (0, 9)
+    assert dpll.calls > 5000 and dpll.eliminated == 0
+    assert eliminated == pytest.approx(branched, abs=1e-12)
 
 
 def test_budget_guard():
-    f, probs = ladder_lineage(12, 0.4, seed=5)
-    full = DPLLStats()
-    dnf_probability(f, probs, stats=full)
-    assert full.calls > 5000  # thousands of calls despite memoisation
+    # over the elimination limit, so the call cap is what ends the attempt
+    f, probs = rst_lineage(*WIDE_RST)
     stats = DPLLStats()
     with pytest.raises(InferenceError, match="budget"):
         dnf_probability(f, probs, max_calls=50, stats=stats)
@@ -128,17 +141,34 @@ def test_budget_guard():
     assert stats.calls == 51
     # ... and the capped solve still reports the work it did
     assert stats.shannon_branches > 0
+    assert stats.eliminated == 0 and stats.width > ELIMINATION_WIDTH_LIMIT
 
 
 def test_capped_solve_reports_calls_in_its_span():
     from repro.obs import Tracer
 
-    f, probs = ladder_lineage(12, 0.4, seed=5)
+    f, probs = rst_lineage(*WIDE_RST)
     with Tracer() as tracer:
         with pytest.raises(InferenceError):
             dnf_probability(f, probs, max_calls=50)
     (span,) = [s for s in tracer.roots if s.name == "dnf_probability"]
     assert span.counters["calls"] == 51
+    assert span.attrs["path"] == "dpll"
+
+
+def test_eliminated_solve_reports_engine_and_cost_in_its_span():
+    from repro.obs import Tracer
+
+    f, probs = rst_lineage(12, 0.4, seed=5)
+    with Tracer() as tracer:
+        dnf_probability(f, probs)
+    (span,) = [s for s in tracer.roots if s.name == "dnf_probability"]
+    assert (span.attrs["path"], span.attrs["width"]) == ("lineage-ve", 9)
+    assert span.counters["calls"] == 0
+    assert span.counters["eliminated"] == 24  # every R and T variable
+    # calibration pair: predicted table entries beside measured seconds
+    assert span.counters["predicted_cost"] >= 2 ** (9 + 1)
+    assert 0 < span.counters["eliminate_seconds"] <= span.wall
 
 
 def test_hard_bipartite_still_exact_with_budget():

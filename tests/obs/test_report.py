@@ -41,7 +41,8 @@ def test_report_fields_reflect_the_run(db):
     assert sum(report.offending_by_source.values()) == report.offending_total
     assert report.component_count == sum(report.component_sizes.values())
     assert len(report.slices) == len([
-        s for s in report.slices if s["engine"] in ("tree", "ve", "dpll")
+        s for s in report.slices
+        if s["engine"] in ("tree", "ve", "junction", "lineage-ve", "dpll")
     ])
     assert report.operators
     for op in report.operators:
@@ -50,6 +51,28 @@ def test_report_fields_reflect_the_run(db):
     # metrics snapshot embedded and coherent with the top-level fields
     assert report.metrics["counters"]["offending"] == report.offending_total
     assert report.metrics["gauges"]["network.nodes"] == report.network_nodes
+
+
+def test_slice_engines_are_read_from_the_solve_spans():
+    # the lineage of a hard head is past the network probe but narrow as a
+    # clause set: the report shows the engine that ran, with its width —
+    # with or without a tracer of the caller's
+    from tests.conftest import rst_database
+
+    hard = rst_database(8, 0.5, seed=2)
+    query = parse_query("q(h) :- R1(h,x), S1(h,x,y), R2(h,y)")
+    report, answers = build_explain_report(hard, query)
+    (record,) = report.slices
+    assert record["engine"] == "lineage-ve"
+    assert record["width"] >= 2 and record["eliminated"] > 0
+    assert record["dpll_calls"] == 0
+    assert "lineage-ve" in report.format()
+    with Tracer() as tracer:
+        traced, same = build_explain_report(hard, query)
+    assert traced.slices[0]["engine"] == "lineage-ve"
+    assert same == answers
+    (solve,) = tracer.roots[0].find("solve_slice")
+    assert solve.attrs["width"] == record["width"]
 
 
 def test_data_safe_query_has_no_offending(db):

@@ -147,8 +147,27 @@ def test_evaluator_emits_one_query_record_per_evaluation():
     assert r["offending"] == result.offending_count
     assert r["network_nodes"] == len(result.network)
     assert r["rungs"] == {"exact": 1}
+    assert r["engines"] == {}  # no tracer was recording
     assert len(r["operators"]) == len(result.stats)
     assert r["error"] is None
+    assert validate_flight_records(rec) == []
+
+
+def test_query_and_ladder_records_name_the_engines_that_ran_when_traced():
+    from repro.core.executor import PartialLineageEvaluator
+    from repro.obs import Tracer
+    from repro.query.parser import parse_query
+    from tests.conftest import rst_database
+
+    db = rst_database(8, 0.5, seed=2)
+    q = parse_query("q(h) :- R1(h,x), S1(h,x,y), R2(h,y)")
+    with flight_recorder() as rec, Tracer():
+        result = PartialLineageEvaluator(db).evaluate_query(q)
+        result.answer_probabilities()
+        result.resilient_answer_probabilities()
+    query, ladder = rec.records
+    assert (query["kind"], ladder["kind"]) == ("query", "ladder")
+    assert query["engines"] == ladder["engines"] == {"lineage-ve": 1}
     assert validate_flight_records(rec) == []
 
 

@@ -6,6 +6,9 @@ from repro.lineage.dnf import DNF, EventVar, EventVarInterner
 from repro.lineage.exact import DPLLStats, dnf_probability
 from repro.lineage.obdd import build_obdd
 from repro.perf import CacheStats, SubformulaCache, canonical_key
+from repro.resilience import QueryBudget
+
+from tests.conftest import rst_lineage
 
 
 def v(rel: str, *key: int) -> EventVar:
@@ -85,9 +88,30 @@ class TestSharedDPLLCache:
         stats = DPLLStats()
         p2 = dnf_probability(f2, probs, stats=stats, cache=cache)
         assert p1 == pytest.approx(p2)
-        # The isomorphic root formula is answered straight from the cache.
-        assert cache.stats.hits > first_pass_hits
-        assert stats.calls == 1
+        # The isomorphic root formula is answered straight from the cache,
+        # in front of both engines: nothing eliminated, nothing branched on.
+        assert cache.stats.hits == first_pass_hits + 1
+        assert (stats.engine, stats.memo_hits) == ("cache", 1)
+        assert (stats.calls, stats.eliminated) == (0, 0)
+
+    def test_root_lookup_fronts_the_dpll_engine_too(self):
+        # over the width limit, so DPLL solves it; asked again (renamed),
+        # the root lookup answers before a single call is made
+        f, probs = rst_lineage(8, 0.5, seed=2)
+        budget = QueryBudget(max_width=2)
+        cache = SubformulaCache()
+        cold = DPLLStats()
+        p1 = dnf_probability(f, probs, stats=cold, cache=cache, budget=budget)
+        assert cold.engine == "dpll" and cold.calls > 1
+        renamed = {x: EventVar(x.relation + "2", x.row) for x in probs}
+        f2 = DNF([frozenset(renamed[x] for x in c) for c in f.clauses])
+        warm = DPLLStats()
+        p2 = dnf_probability(
+            f2, {renamed[x]: p for x, p in probs.items()},
+            stats=warm, cache=cache, budget=budget,
+        )
+        assert p1 == p2
+        assert (warm.engine, warm.calls, warm.memo_hits) == ("cache", 0, 1)
 
     def test_cached_matches_uncached(self):
         f = DNF([

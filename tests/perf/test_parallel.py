@@ -9,6 +9,7 @@ from repro.core.inference import compute_marginals
 from repro.core.network import EPSILON, AndOrNetwork, NodeKind
 from repro.db import ProbabilisticDatabase
 from repro.errors import InferenceError
+from repro.lineage.exact import ELIMINATION_WIDTH_LIMIT
 from repro.perf import SubformulaCache
 from repro.perf.parallel import (
     ComponentWork,
@@ -20,7 +21,9 @@ from repro.perf.parallel import (
     solve_slice,
 )
 from repro.query.parser import parse_query
+from repro.resilience import QueryBudget
 
+from tests.conftest import WIDE_RST, rst_network
 from tests.core.test_inference import random_network
 
 
@@ -143,7 +146,8 @@ class TestParallelMarginals:
 
     def test_worker_cache_entries_merge_back(self):
         rng = random.Random(34)
-        # entangled components keep the DPLL path (and thus the cache) busy
+        # entangled components keep the lineage path (and thus the root
+        # lookups of the cache) busy
         net = AndOrNetwork()
         roots = []
         for _ in range(4):
@@ -160,16 +164,28 @@ class TestParallelMarginals:
         assert len(cache) > 0  # worker entries were folded back
 
     def test_worker_budget_error_propagates(self):
-        net, roots = multi_component_network(random.Random(35), 3)
-        with pytest.raises(InferenceError):
+        # lineage over the elimination limit: DPLL runs, and its cap fires
+        net, roots = rst_network(*WIDE_RST, components=2)
+        with pytest.raises(InferenceError, match="DPLL exceeded the budget"):
             parallel_marginals(
-                net, roots, workers=2, engine="dpll",
-                dpll_max_calls=0, min_parallel_cost=0.0,
+                net, roots, workers=2, dpll_max_calls=20,
+                min_parallel_cost=0.0,
             )
+
+    def test_narrow_lineage_never_meets_the_call_cap(self):
+        # eliminated, so there is no DPLL call for a cap of zero to refuse
+        net, roots = multi_component_network(random.Random(35), 3)
+        out = parallel_marginals(
+            net, roots, workers=2, engine="dpll",
+            dpll_max_calls=0, min_parallel_cost=0.0,
+        )
+        assert_matches_oracle(net, roots, out)
 
 
 class TestDpllCallsOnSpan:
-    def network(self):
+    """``solve_slice`` reports the engine that answered, not a guess."""
+
+    def triangle(self):
         net = AndOrNetwork()
         x, y, z = (net.add_leaf(p) for p in (0.3, 0.5, 0.7))
         a = net.add_gate(NodeKind.AND, [(x, 1.0), (y, 1.0)])
@@ -177,25 +193,46 @@ class TestDpllCallsOnSpan:
         c = net.add_gate(NodeKind.AND, [(z, 1.0), (x, 1.0)])
         return net, net.add_gate(NodeKind.OR, [(a, 1.0), (b, 1.0), (c, 1.0)])
 
-    def dpll_calls(self, dpll_max_calls, raises=None):
+    def span_of(self, net, root, raises=None, **kwargs):
         from repro.obs import Tracer
 
-        net, root = self.network()
         with Tracer() as tracer:
             if raises is None:
-                solve_slice(net, [root], "dpll", dpll_max_calls)
+                solve_slice(net, [root], "dpll", **kwargs)
             else:
                 with pytest.raises(raises):
-                    solve_slice(net, [root], "dpll", dpll_max_calls)
+                    solve_slice(net, [root], "dpll", **kwargs)
         (span,) = [s for s in tracer.roots if s.name == "solve_slice"]
-        return span.counters["dpll_calls"]
+        return span
 
     def test_finished_solve(self):
-        assert self.dpll_calls(1000) > 2
+        span = self.span_of(*self.triangle())
+        assert (span.attrs["path"], span.attrs["width"]) == ("lineage-ve", 2)
+        assert span.counters["eliminated"] == 3
+        assert span.counters["dpll_calls"] == 0
+
+    def test_finished_dpll_solve(self):
+        span = self.span_of(*self.triangle(), budget=QueryBudget(max_width=1))
+        assert span.attrs["path"] == "dpll"
+        assert span.counters["dpll_calls"] > 2
+        assert span.counters["eliminated"] == 0
 
     def test_capped_solve_shows_the_calls_it_made(self):
         # counted on the way out of the failed attempt, not lost with it
-        assert self.dpll_calls(2, raises=InferenceError) == 3
+        (net, (root,)) = rst_network(*WIDE_RST)
+        span = self.span_of(net, root, raises=InferenceError, dpll_max_calls=2)
+        assert span.attrs["path"] == "dpll"
+        assert span.attrs["width"] > ELIMINATION_WIDTH_LIMIT
+        assert span.counters["dpll_calls"] == 3
+
+    def test_auto_engines_annotate_what_ran(self):
+        from repro.obs import Tracer
+
+        net, roots = multi_component_network(random.Random(41), 1)
+        with Tracer() as tracer:
+            solve_slice(net, roots)
+        (span,) = tracer.roots
+        assert span.attrs["path"] in ("tree", "ve", "junction")
 
 
 class TestScheduling:

@@ -14,7 +14,7 @@ from repro.resilience.ladder import (
     resilient_component_marginals,
 )
 
-from tests.resilience.test_ladder import entangled_component
+from tests.resilience.test_ladder import NO_EXACT, entangled_component
 
 
 def tree_component(rng: random.Random):
@@ -51,7 +51,7 @@ class TestDissociationRung:
         net, root = entangled_component(random.Random(22))
         out = resilient_component_marginals(
             net, [root],
-            budget=QueryBudget(dpll_max_calls=0, approx_epsilon=1.0),
+            budget=QueryBudget(**NO_EXACT, approx_epsilon=1.0),
             narrow=False,
         )
         oracle = compute_marginals(net, [root])[root]
@@ -66,13 +66,13 @@ class TestDissociationRung:
         net, root = entangled_component(random.Random(23))
         dissoc = resilient_component_marginals(
             net, [root],
-            budget=QueryBudget(dpll_max_calls=0, approx_epsilon=1.0),
+            budget=QueryBudget(**NO_EXACT, approx_epsilon=1.0),
             narrow=False,
         )[root]
         degraded = resilient_component_marginals(
             net, [root],
             budget=QueryBudget(
-                dpll_max_calls=0, obdd_max_nodes=1,
+                **NO_EXACT, obdd_max_nodes=1,
                 approx_max_calls=1, max_samples=500,
             ),
             narrow=False,

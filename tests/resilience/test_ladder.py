@@ -20,13 +20,23 @@ from tests.perf.test_parallel import multi_component_network
 
 
 def entangled_component(rng: random.Random):
-    """One component whose gates share leaves (defeats tree factoring)."""
+    """One component whose gates share leaves pairwise (defeats tree
+    factoring; its lineage is a triangle of clauses, two variables wide)."""
     net = AndOrNetwork()
     leaves = [net.add_leaf(rng.uniform(0.2, 0.8)) for _ in range(4)]
     a = net.add_gate(NodeKind.AND, [(leaves[0], 1.0), (leaves[1], 1.0)])
     b = net.add_gate(NodeKind.AND, [(leaves[0], 1.0), (leaves[2], 1.0)])
-    root = net.add_gate(NodeKind.OR, [(a, 1.0), (b, 1.0), (leaves[3], 0.5)])
+    c = net.add_gate(NodeKind.AND, [(leaves[1], 1.0), (leaves[2], 1.0)])
+    root = net.add_gate(
+        NodeKind.OR, [(a, 1.0), (b, 1.0), (c, 1.0), (leaves[3], 0.5)]
+    )
     return net, root
+
+
+#: These tests are about rung order, not width: ``max_width=0`` sends the
+#: (two-wide) lineage of :func:`entangled_component` past both elimination
+#: engines to DPLL, and zero calls kills that instantly.
+NO_EXACT = dict(max_width=0, dpll_max_calls=0)
 
 
 class TestExactRung:
@@ -52,10 +62,9 @@ class TestExactRung:
 
 class TestFallbackRungs:
     def test_dpll_budget_falls_back_to_obdd(self):
-        # narrow=False forces the DPLL path; zero calls kills it instantly.
         net, root = entangled_component(random.Random(3))
         out = resilient_component_marginals(
-            net, [root], budget=QueryBudget(dpll_max_calls=0), narrow=False
+            net, [root], budget=QueryBudget(**NO_EXACT), narrow=False
         )
         oracle = compute_marginals(net, [root])[root]
         assert out[root].method == "obdd"
@@ -69,7 +78,7 @@ class TestFallbackRungs:
         net, root = entangled_component(random.Random(4))
         out = resilient_component_marginals(
             net, [root],
-            budget=QueryBudget(dpll_max_calls=0, obdd_max_nodes=1),
+            budget=QueryBudget(**NO_EXACT, obdd_max_nodes=1),
             narrow=False,
         )
         oracle = compute_marginals(net, [root])[root]
@@ -86,7 +95,7 @@ class TestFallbackRungs:
         out = resilient_component_marginals(
             net, [root],
             budget=QueryBudget(
-                dpll_max_calls=0, obdd_max_nodes=1,
+                **NO_EXACT, obdd_max_nodes=1,
                 approx_max_calls=1, max_samples=2_000,
             ),
             narrow=False,
@@ -111,7 +120,7 @@ class TestFallbackRungs:
     def test_sampling_is_deterministic_under_a_seed(self):
         net, root = entangled_component(random.Random(7))
         budget = QueryBudget(
-            dpll_max_calls=0, obdd_max_nodes=1,
+            **NO_EXACT, obdd_max_nodes=1,
             approx_max_calls=1, max_samples=512,
         )
         runs = [
@@ -121,6 +130,7 @@ class TestFallbackRungs:
             )[root]
             for _ in range(2)
         ]
+        assert runs[0].method == runs[1].method == "karp-luby"
         assert runs[0].lower == runs[1].lower
         assert runs[0].upper == runs[1].upper
 
