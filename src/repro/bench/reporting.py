@@ -2,26 +2,15 @@
 
 The benchmark scripts print, for every figure of the paper, the same series
 the figure plots (method × parameter → seconds), as aligned text tables that
-land in ``bench_output.txt``. Machine-readable trajectories (per-method work
-counters: samples/sec, cache hit-rates, speedups) are written as JSON via
-:func:`write_json_report` so successive PRs can be compared mechanically.
-
-The three suite runners share their report plumbing here instead of each
-carrying its own copy: :func:`bench_environment` is the one environment
-stamp (Python/NumPy versions, CPU count, git SHA), :func:`write_bench_report`
-folds it plus an optional :class:`~repro.obs.metrics.MetricsRegistry`
-snapshot into every ``BENCH_*.json``, and :func:`acceptance_exit_code` turns
-an acceptance dict into the process exit code.
+land in ``bench_output.txt``. ``repro explain --json`` writes its report
+through :func:`write_json_report`.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import platform
-import subprocess
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def format_table(
@@ -111,13 +100,12 @@ def write_json_report(path: str | pathlib.Path, payload: dict) -> pathlib.Path:
     """Write a benchmark payload as stable, diff-friendly JSON.
 
     Keys are sorted and floats pass through ``json`` untouched, so reruns
-    with identical numbers produce byte-identical files — the property the
-    ``BENCH_*.json`` trajectory files rely on.
+    with identical numbers produce byte-identical files.
 
     Examples
     --------
     >>> import tempfile, os
-    >>> target = os.path.join(tempfile.mkdtemp(), "BENCH_demo.json")
+    >>> target = os.path.join(tempfile.mkdtemp(), "report.json")
     >>> p = write_json_report(target, {"b": 1, "a": {"speedup": 12.5}})
     >>> print(p.read_text(), end="")
     {
@@ -130,125 +118,6 @@ def write_json_report(path: str | pathlib.Path, payload: dict) -> pathlib.Path:
     path = pathlib.Path(path)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def git_sha() -> str | None:
-    """HEAD commit of the repository containing this package, or ``None``.
-
-    Benchmarks embed it so a ``BENCH_*.json`` trajectory point can always be
-    traced back to the code that produced it. Outside a git checkout (or
-    without a ``git`` binary) the stamp is simply absent.
-    """
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    sha = proc.stdout.strip()
-    return sha if proc.returncode == 0 and sha else None
-
-
-def bench_environment() -> dict:
-    """The environment stamp every benchmark payload carries.
-
-    Examples
-    --------
-    >>> env = bench_environment()
-    >>> sorted(k for k in env if k != "git_sha")
-    ['cpu_count', 'numpy', 'python']
-    """
-    import numpy as np
-
-    env = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count() or 1,
-    }
-    sha = git_sha()
-    if sha is not None:
-        env["git_sha"] = sha
-    return env
-
-
-#: Version of the ``BENCH_*.json`` report shape. Version 2 adds the
-#: ``schema_version`` / ``run_sequence`` stamps themselves — the fields the
-#: trajectory sentinel (:mod:`repro.bench.trajectory`) needs to order and
-#: compare reports across PRs. Reports without them are treated as version 1.
-BENCH_SCHEMA_VERSION = 2
-
-
-def next_run_sequence(path: str | pathlib.Path) -> int:
-    """The monotonically-increasing run sequence for a report at *path*.
-
-    Reads the previous report (if any) and returns its ``run_sequence + 1``,
-    so successive runs writing to the same committed file are totally
-    ordered even when wall clocks or git SHAs are unavailable. A missing or
-    unreadable previous report (or a pre-versioning one) starts at 1.
-    """
-    path = pathlib.Path(path)
-    try:
-        previous = json.loads(path.read_text())
-        return int(previous.get("run_sequence", 0)) + 1
-    except (OSError, ValueError, TypeError):
-        return 1
-
-
-def write_bench_report(
-    path: str | pathlib.Path, payload: dict, registry=None
-) -> pathlib.Path:
-    """Stamp and write one benchmark payload.
-
-    Fills ``payload["environment"]`` with :func:`bench_environment` (keys the
-    runner already set win), stamps ``schema_version``
-    (:data:`BENCH_SCHEMA_VERSION`) and the monotone ``run_sequence``
-    (:func:`next_run_sequence`), and, when a
-    :class:`~repro.obs.metrics.MetricsRegistry` is passed, embeds its
-    snapshot as ``payload["metrics"]``; then writes via
-    :func:`write_json_report`.
-    """
-    payload = dict(payload)
-    environment = dict(payload.get("environment") or {})
-    for key, value in bench_environment().items():
-        environment.setdefault(key, value)
-    payload["environment"] = environment
-    payload.setdefault("schema_version", BENCH_SCHEMA_VERSION)
-    payload.setdefault("run_sequence", next_run_sequence(path))
-    if registry is not None:
-        payload["metrics"] = registry.snapshot()
-    return write_json_report(path, payload)
-
-
-def acceptance_exit_code(
-    acceptance: dict, ignore: Iterable[str] = ()
-) -> int:
-    """Exit code from an acceptance dict: 0 iff every boolean check passed.
-
-    Non-boolean entries (tolerances, measured values) are descriptors, not
-    checks; *ignore* names boolean entries that are descriptors too (e.g.
-    the parallel suite's ``parallel_scaling_enforced``).
-
-    Examples
-    --------
-    >>> acceptance_exit_code({"ok": True, "tolerance": 1e-12})
-    0
-    >>> acceptance_exit_code({"ok": False, "tolerance": 1e-12})
-    1
-    >>> acceptance_exit_code({"ok": True, "enforced": False},
-    ...                      ignore=("enforced",))
-    0
-    """
-    ignored = set(ignore)
-    checks = [
-        value
-        for key, value in acceptance.items()
-        if isinstance(value, bool) and key not in ignored
-    ]
-    return 0 if all(checks) else 1
 
 
 def _fmt(value: object) -> str:

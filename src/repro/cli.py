@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Eight subcommands, mirroring how the paper's system is exercised:
+Seven subcommands, mirroring how the paper's system is exercised:
 
 ``repro query``
     Evaluate a conjunctive query over a CSV-backed probabilistic database
@@ -30,21 +30,6 @@ Eight subcommands, mirroring how the paper's system is exercised:
     scalar OBDD oracle behind ``--method obdd``), and ``--batch N``
     re-scores N random probability scenarios per answer through the
     compiled arithmetic circuit in one vectorized sweep.
-``repro bench``
-    Machine-readable benchmarks. ``--suite mc_dpll`` (default) is the
-    scalar-vs-vectorized sampling + DPLL-cache micro-benchmark
-    (``BENCH_mc_dpll.json``); ``--suite columnar`` scales Fig. 5-style
-    workloads over instance size and compares the row and columnar
-    operator engines (``BENCH_columnar.json``); ``--suite parallel``
-    compares serial, component-sliced, and process-parallel final
-    inference (``BENCH_parallel.json``); ``--suite rescore`` compares
-    scalar per-scenario OBDD walks against vectorized circuit batch
-    re-scoring (``BENCH_rescore.json``); ``--suite dissoc`` compares
-    bounds-first top-k certification against exact-all-answers inference
-    on the ranked workload (``BENCH_dissoc.json``); ``--suite serve``
-    replays a concurrent workload with injected faults against an
-    in-process query service and records sustained QPS and latency
-    percentiles (``BENCH_serve.json``).
 ``repro serve``
     Run the fault-tolerant query-service daemon (:mod:`repro.serve`) over
     a TCP or unix-domain socket: line-delimited JSON protocol, prepared
@@ -628,88 +613,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.suite == "serve":
-        from repro.bench import serve
-
-        out = args.out if args.out is not None else "BENCH_serve.json"
-        argv = [
-            "--out", out,
-            "--n", str(args.n),
-            "--m", str(args.m),
-            "--seed", str(args.seed),
-            "--requests", str(args.requests),
-        ]
-        return serve.main(argv)
-    if args.suite == "dissoc":
-        from repro.bench import dissoc
-
-        out = args.out if args.out is not None else "BENCH_dissoc.json"
-        min_speedup = (
-            args.min_speedup if args.min_speedup is not None else 5.0
-        )
-        argv = [
-            "--out", out,
-            "--seed", str(args.seed),
-            "--sizes", *[str(m) for m in args.sizes],
-            "--k", str(args.k),
-            "--min-speedup", str(min_speedup),
-        ]
-        return dissoc.main(argv)
-    if args.suite == "rescore":
-        from repro.bench import rescore
-
-        out = args.out if args.out is not None else "BENCH_rescore.json"
-        argv = [
-            "--out", out,
-            "--n", str(args.n),
-            "--m", str(args.m),
-            "--seed", str(args.seed),
-            "--query", args.query,
-            "--batch", str(args.batch),
-        ]
-        return rescore.main(argv)
-    if args.suite == "parallel":
-        from repro.bench import parallel
-
-        out = args.out if args.out is not None else "BENCH_parallel.json"
-        argv = [
-            "--out", out,
-            "--n", str(args.n),
-            "--seed", str(args.seed),
-            "--sizes", *[str(m) for m in args.sizes],
-        ]
-        if args.workers:
-            argv += ["--workers", *[str(w) for w in args.workers],
-                     "--parallel-workers", str(max(args.workers))]
-        return parallel.main(argv)
-    if args.suite == "columnar":
-        from repro.bench import columnar
-
-        out = args.out if args.out is not None else "BENCH_columnar.json"
-        argv = [
-            "--out", out,
-            "--n", str(args.n),
-            "--seed", str(args.seed),
-            "--sizes", *[str(m) for m in args.sizes],
-            "--min-speedup", str(
-                args.min_speedup if args.min_speedup is not None else 10.0
-            ),
-        ]
-        return columnar.main(argv)
-    from repro.bench import mc_dpll
-
-    argv = [
-        "--out", args.out if args.out is not None else "BENCH_mc_dpll.json",
-        "--samples", str(args.samples),
-        "--n", str(args.n),
-        "--m", str(args.m),
-        "--seed", str(args.seed),
-        "--query", args.query,
-    ]
-    return mc_dpll.main(argv)
-
-
 def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", metavar="PATH",
                         help="write a Chrome trace-event JSON of the run "
@@ -893,39 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "inference (default: in-process)")
     _add_observability_flags(w)
     w.set_defaults(func=cmd_workload)
-
-    b = sub.add_parser(
-        "bench",
-        help="run a machine-readable benchmark suite "
-             "(mc_dpll, columnar, parallel, rescore, or dissoc)",
-    )
-    b.add_argument("--suite", default="mc_dpll",
-                   choices=("mc_dpll", "columnar", "parallel", "rescore",
-                            "dissoc", "serve"))
-    b.add_argument("--out", default=None,
-                   help="output JSON path (default BENCH_<suite>.json)")
-    b.add_argument("--samples", type=int, default=50_000,
-                   help="[mc_dpll] Monte-Carlo samples")
-    b.add_argument("--n", type=int, default=2)
-    b.add_argument("--m", type=int, default=60, help="[mc_dpll] instance size")
-    b.add_argument("--seed", type=int, default=7)
-    b.add_argument("--query", default="P1", choices=sorted(TABLE1_QUERIES),
-                   help="[mc_dpll] Table 1 query")
-    b.add_argument("--sizes", type=int, nargs="+",
-                   default=[200, 800, 3200],
-                   help="[columnar] instance sizes m to scale over")
-    b.add_argument("--min-speedup", type=float, default=None,
-                   help="acceptance: speedup required on the largest "
-                        "instance (columnar default 10, dissoc default 5)")
-    b.add_argument("--k", type=int, default=10,
-                   help="[dissoc] top-k cutoff to certify")
-    b.add_argument("--workers", type=int, nargs="+", default=None,
-                   help="[parallel] process-pool sizes to sweep")
-    b.add_argument("--batch", type=int, default=1000,
-                   help="[rescore] scenarios per batch (default 1000)")
-    b.add_argument("--requests", type=int, default=120,
-                   help="[serve] replayed requests per phase (default 120)")
-    b.set_defaults(func=cmd_bench)
 
     srv = sub.add_parser(
         "serve",

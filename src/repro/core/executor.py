@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.core import columnar as _columnar
 from repro.core.columnar import ColumnarPLRelation, ValueInterner
-from repro.core.inference import compute_marginal
 from repro.core.network import EPSILON, AndOrNetwork
 from repro.core.operators import pl_join, project, select_eq, select_where
 from repro.core.plan import (
@@ -198,11 +197,9 @@ class EvaluationResult:
         tree propagation when the network is tree-factorable, otherwise the
         component-sliced driver of :mod:`repro.perf.parallel`), ``"ve"`` /
         ``"dpll"`` (component-sliced, forcing the respective per-component
-        engine), ``"serial"`` (the pre-slicing per-answer loop over
-        :func:`repro.core.inference.compute_marginal` — the oracle the
-        benchmarks compare against), ``"tree"`` (bottom-up propagation,
-        rejects non-tree-factorable networks), or ``"junction"`` (one
-        clique-tree calibration per component, all marginals shared).
+        engine), ``"tree"`` (bottom-up propagation, rejects
+        non-tree-factorable networks), or ``"junction"`` (one clique-tree
+        calibration per component, all marginals shared).
 
         *cache* is an optional shared :class:`~repro.perf.SubformulaCache`
         for the DPLL paths: the per-answer marginal solves then reuse each
@@ -257,20 +254,11 @@ class EvaluationResult:
             ):
                 sp.annotate(path="tree")
                 marginals = tree_marginals(
-                    self.network, check=engine == "tree"
+                    self.network, check=engine == "tree", budget=budget
                 )
             elif engine == "junction":
                 sp.annotate(path="junction")
-                marginals = all_marginals(self.network, nodes)
-            elif engine == "serial":
-                sp.annotate(path="serial")
-                marginals = {EPSILON: 1.0}
-                for l in nodes:
-                    if l not in marginals:
-                        marginals[l] = compute_marginal(
-                            self.network, l, "auto", dpll_max_calls, cache,
-                            budget,
-                        )
+                marginals = all_marginals(self.network, nodes, budget=budget)
             else:
                 sp.annotate(path="sliced")
                 marginals = parallel_marginals(

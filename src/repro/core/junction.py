@@ -267,13 +267,14 @@ def calibrate_clique_tree(
 
 
 def all_marginals(
-    net: AndOrNetwork, nodes: list[int] | None = None
+    net: AndOrNetwork, nodes: list[int] | None = None, budget=None
 ) -> dict[int, float]:
     """Marginals ``Pr(v=1)`` for many nodes via one calibration per component.
 
     Functionally equivalent to calling
     :func:`repro.core.inference.compute_marginal` per node, but the clique
     tree is calibrated once per connected component, so the cost is shared.
+    *budget* is forwarded to :func:`calibrate_clique_tree`'s checkpoints.
     """
     targets = [v for v in (nodes if nodes is not None else list(net.nodes()))]
     out: dict[int, float] = {}
@@ -290,7 +291,9 @@ def all_marginals(
             # barren-node pruning: only the targets' ancestors matter
             relevant = net.ancestors(grouped)
             relevant.add(EPSILON)
-            tree = build_clique_tree(net, relevant)
+            tree = calibrate_clique_tree(
+                network_factors(net, relevant), budget=budget
+            )
             for v in grouped:
                 out[v] = tree.marginal(v)
     return out

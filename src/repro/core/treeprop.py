@@ -189,11 +189,13 @@ def _tree_marginals_array(net: AndOrNetwork) -> np.ndarray:
     return out
 
 
-def tree_marginals(net: AndOrNetwork, check: bool = True) -> dict[int, float]:
+def tree_marginals(
+    net: AndOrNetwork, check: bool = True, budget=None
+) -> dict[int, float]:
     """Marginals of *every* node by one bottom-up pass (linear time).
 
-    Delegates to the batched :func:`tree_marginals_array` kernel and returns
-    the dict view keyed by node id.
+    Delegates to the batched :func:`tree_marginals_array` kernel (forwarding
+    *budget* to its checkpoints) and returns the dict view keyed by node id.
 
     Raises
     ------
@@ -209,5 +211,5 @@ def tree_marginals(net: AndOrNetwork, check: bool = True) -> dict[int, float]:
     >>> round(tree_marginals(net)[w], 6)
     0.49
     """
-    arr = tree_marginals_array(net, check=check)
+    arr = tree_marginals_array(net, check=check, budget=budget)
     return dict(enumerate(arr.tolist()))

@@ -7,7 +7,7 @@ The pipeline's work accounting used to live in bespoke objects —
 :class:`MetricsRegistry` is the common sink: every such object implements
 ``as_dict()`` and is absorbed under a name prefix, new instrumentation
 records directly, and one :meth:`~MetricsRegistry.snapshot` emits the whole
-state as plain JSON for ``BENCH_*.json`` files and explain reports.
+state as plain JSON for explain reports.
 
 Metric taxonomy (dotted names, lowercase):
 

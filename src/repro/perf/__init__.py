@@ -13,7 +13,6 @@ from repro.perf.cache import CacheStats, SubformulaCache, canonical_key
 from repro.perf.parallel import (
     DEFAULT_MIN_PARALLEL_COST,
     parallel_marginals,
-    sliced_marginals,
     solve_slice,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "canonical_key",
     "DEFAULT_MIN_PARALLEL_COST",
     "parallel_marginals",
-    "sliced_marginals",
     "solve_slice",
 ]

@@ -5,19 +5,19 @@ And-Or network of a Fig. 5-style workload splits into one connected
 component per head value once ε — a constant that correlates nothing — is
 set aside. This module exploits both facts:
 
-* :func:`sliced_marginals` groups the requested nodes by connected
+* :func:`parallel_marginals` groups the requested nodes by connected
   component (:meth:`~repro.core.network.AndOrNetwork.components`), extracts
   each needed component once
   (:meth:`~repro.core.network.AndOrNetwork.extract_component`), and solves
-  every component with the cheapest applicable engine: the batched
-  tree-propagation kernel when the component is tree-factorable, one
+  every component (:func:`solve_slice`) with the cheapest applicable
+  engine: the batched tree-propagation kernel when it is tree-factorable, one
   clique-tree calibration shared by all of the component's targets when its
   elimination width is small, and the DPLL path (against a shared
   :class:`~repro.perf.SubformulaCache`) beyond. The expensive per-answer
   width estimation of the serial path is replaced by one *early-exit*
   min-degree pass per component (:func:`estimate_component`), which stops
   the moment the width budget is exceeded.
-* :func:`parallel_marginals` fans the extracted components out over a
+* With ``workers >= 2`` it fans the extracted components out over a
   process pool driven by the fault-tolerant
   :func:`repro.resilience.pool.run_chunks` dispatcher: components are
   chunked by estimated cost (longest-processing-time-first over the
@@ -65,7 +65,6 @@ __all__ = [
     "estimate_component",
     "group_by_component",
     "solve_slice",
-    "sliced_marginals",
     "parallel_marginals",
     "DEFAULT_MIN_PARALLEL_COST",
 ]
@@ -286,42 +285,6 @@ def _merge_back(
         out[work.slice.to_orig(sub)] = prob
 
 
-def sliced_marginals(
-    net: AndOrNetwork,
-    nodes,
-    engine: str = "auto",
-    dpll_max_calls: int = 5_000_000,
-    cache: SubformulaCache | None = None,
-    budget=None,
-) -> dict[int, float]:
-    """Marginals of *nodes*, solving each connected component exactly once.
-
-    The serial half of the parallel layer (and the fallback
-    :func:`parallel_marginals` takes for small workloads): same grouping and
-    per-component engines, no process pool. A fresh subformula cache is
-    created when the caller does not supply one, so the per-component DPLL
-    solves still share work within the call.
-    """
-    out = {EPSILON: 1.0}
-    if cache is None:
-        cache = SubformulaCache()
-    with _span("sliced_marginals", engine=engine) as sp:
-        works = group_by_component(net, nodes)
-        sp.add("components", len(works))
-        for work in works:
-            solved = solve_slice(
-                work.slice.network,
-                work.targets,
-                engine,
-                dpll_max_calls,
-                cache,
-                narrow=work.narrow,
-                budget=budget,
-            )
-            _merge_back(out, work, solved)
-    return out
-
-
 def _chunk_by_cost(
     works: list[ComponentWork], chunks: int
 ) -> list[list[int]]:
@@ -410,13 +373,13 @@ def parallel_marginals(
 
     With ``workers`` unset (or < 2), or when the components' total estimated
     cost stays under *min_parallel_cost*, or when there is only one
-    component, this is exactly :func:`sliced_marginals` — small workloads
-    never pay pool startup. Otherwise the component slices are packed into
-    ``workers * chunks_per_worker`` cost-balanced chunks and dispatched
-    through the fault-tolerant :func:`repro.resilience.pool.run_chunks`;
-    worker cache entries are merged back into *cache* afterwards, so later
-    queries sharing the caller's cache still benefit from the fan-out's
-    work.
+    component, the components are solved in-process one after another —
+    small workloads never pay pool startup. Otherwise the component slices
+    are packed into ``workers * chunks_per_worker`` cost-balanced chunks and
+    dispatched through the fault-tolerant
+    :func:`repro.resilience.pool.run_chunks`; worker cache entries are merged
+    back into *cache* afterwards, so later queries sharing the caller's cache
+    still benefit from the fan-out's work.
 
     Fault tolerance: a worker crash (``BrokenProcessPool``), a chunk
     exceeding the per-dispatch *timeout*, or a poisoned (non-finite) result
@@ -459,6 +422,22 @@ def parallel_marginals(
         fallback_reason = "below_cost_threshold"
     else:
         fallback_reason = None
+    out = {EPSILON: 1.0}
+    if cache is None:
+        # one call's in-process solves still share subformulas
+        cache = SubformulaCache()
+
+    def solve(work: ComponentWork) -> dict[int, float]:
+        return solve_slice(
+            work.slice.network,
+            work.targets,
+            engine,
+            dpll_max_calls,
+            cache,
+            narrow=work.narrow,
+            budget=budget,
+        )
+
     with _span(
         "parallel_marginals",
         engine=engine,
@@ -472,20 +451,8 @@ def parallel_marginals(
             sp.annotate(mode="serial", fallback_reason=fallback_reason)
             if registry is not None:
                 registry.inc(f"pool.serial_fallback.{fallback_reason}")
-            out = {EPSILON: 1.0}
-            if cache is None:
-                cache = SubformulaCache()
             for work in works:
-                solved = solve_slice(
-                    work.slice.network,
-                    work.targets,
-                    engine,
-                    dpll_max_calls,
-                    cache,
-                    narrow=work.narrow,
-                    budget=budget,
-                )
-                _merge_back(out, work, solved)
+                _merge_back(out, work, solve(work))
             return out
         chunks = _chunk_by_cost(works, workers * chunks_per_worker)
         sp.annotate(mode="parallel", workers=workers, chunks=len(chunks))
@@ -499,19 +466,13 @@ def parallel_marginals(
                     "pool.chunk_cost", sum(works[i].cost for i in members)
                 )
         tracer = current_tracer()
-        out = {EPSILON: 1.0}
-        if cache is None:
-            cache = SubformulaCache()
-
-        def chunk_tasks(members):
-            return [
-                (works[i].slice.network, works[i].targets, works[i].narrow)
-                for i in members
-            ]
 
         def payload_fn(index, attempt):
             return (
-                chunk_tasks(chunks[index]),
+                [
+                    (works[i].slice.network, works[i].targets, works[i].narrow)
+                    for i in chunks[index]
+                ],
                 engine,
                 dpll_max_calls,
                 tracer is not None,
@@ -522,14 +483,7 @@ def parallel_marginals(
             )
 
         def serial_fn(index):
-            solved = [
-                solve_slice(
-                    subnet, targets, engine, dpll_max_calls, cache, narrow,
-                    budget=budget,
-                )
-                for subnet, targets, narrow in chunk_tasks(chunks[index])
-            ]
-            return solved, [], []
+            return [solve(works[i]) for i in chunks[index]], [], []
 
         outcomes = run_chunks(
             _solve_chunk,

@@ -15,7 +15,7 @@ listener from a side thread (so the shutdown response itself still gets
 written).
 
 :class:`ServeClient` is the matching blocking client used by the CLI, the
-tests, and :mod:`repro.bench.serve`: ``call`` returns the raw response
+tests, and ``benchmarks/e2e``: ``call`` returns the raw response
 object, ``require`` raises :class:`ServeError` (carrying the protocol
 error code) on ``ok: false``.
 """

@@ -2,7 +2,7 @@
 
 :class:`Server` ties the serving layers together behind two surfaces: a
 direct Python API (``prepare`` / ``query`` / ``begin`` / ``commit`` / …,
-used by tests and :mod:`repro.bench.serve`) and the protocol dispatcher
+used by tests and ``benchmarks/e2e``) and the protocol dispatcher
 :meth:`Server.handle` the socket daemon (:mod:`repro.serve.daemon`) feeds
 decoded request objects.
 

@@ -121,3 +121,17 @@ def rst_network(n: int, density: float, seed: int, components: int = 1):
             for c in sorted(dnf.clauses, key=sorted)
         ]))
     return net, roots
+
+
+def recording_budget():
+    """``(budget, stages)``: an unlimited budget that appends the stage of
+    every checkpoint it is asked for to *stages*."""
+    from repro.resilience import QueryBudget
+
+    stages: list[str] = []
+
+    class Recording(QueryBudget):
+        def checkpoint(self, stage: str = "") -> None:
+            stages.append(stage)
+
+    return Recording(), stages

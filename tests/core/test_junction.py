@@ -102,3 +102,20 @@ def test_shared_calibration_is_cheaper_than_per_node():
     for v in chain[1:]:
         expected *= 0.9
         assert out[v] == pytest.approx(expected)
+
+
+def test_answer_probabilities_checkpoints_budget_on_junction_path():
+    from repro.core.executor import PartialLineageEvaluator
+    from repro.db import ProbabilisticDatabase
+    from repro.query.parser import parse_query
+
+    from tests.conftest import recording_budget
+
+    budget, stages = recording_budget()
+    db = ProbabilisticDatabase()
+    db.add_relation("R", ("A",), {(1,): 0.5})
+    db.add_relation("S", ("A", "B"), {(1, 1): 0.5, (1, 2): 0.5})
+    q = parse_query("q() :- R(x), S(x,y)")
+    result = PartialLineageEvaluator(db).evaluate_query(q, ["R", "S"])
+    result.answer_probabilities(engine="junction", budget=budget)
+    assert "junction" in stages

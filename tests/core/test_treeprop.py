@@ -167,3 +167,17 @@ def test_dict_view_delegates_to_kernel():
     net = random_forest_network(rng, 6)
     arr = tree_marginals_array(net)
     assert tree_marginals(net) == {v: arr[v] for v in net.nodes()}
+
+
+def test_answer_probabilities_checkpoints_budget_on_tree_path():
+    from tests.conftest import recording_budget
+
+    budget, stages = recording_budget()
+    db = ProbabilisticDatabase()
+    db.add_relation("R", ("A",), {(1,): 0.5})
+    db.add_relation("S", ("A", "B"), {(1, 1): 0.5, (1, 2): 0.5})
+    q = parse_query("q() :- R(x), S(x,y)")
+    result = PartialLineageEvaluator(db).evaluate_query(q, ["R", "S"])
+    assert is_tree_factorable(result.network)
+    result.answer_probabilities(budget=budget)  # "auto" takes the tree path
+    assert "treeprop" in stages

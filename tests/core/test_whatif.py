@@ -208,3 +208,4 @@ def test_result_whatif_uses_evaluator_cache(simple_db):
     a2.circuit_for(())
     assert list(a2.circuit_sources.values()) == ["cache"]
     assert cache.stats.hits >= 1
+    assert cache.recompiles == 0  # warm: nothing compiled twice

@@ -131,6 +131,29 @@ class TestSharedDPLLCache:
         assert dnf_probability(f, probs, cache=cache) == pytest.approx(plain)
         assert cache.stats.misses == before
 
+    def test_one_cache_shared_across_workload_queries(self):
+        # full-lineage solves of P1 then P2 against one cache, each asked
+        # twice: the repeats hit, and sharing never changes an answer
+        from repro.bench.harness import (
+            agreement,
+            run_full_lineage,
+            run_partial_lineage,
+        )
+        from repro.workload.generator import WorkloadParams, generate_database
+        from repro.workload.queries import benchmark_query
+
+        db = generate_database(
+            WorkloadParams(N=2, m=20, fanout=4, r_f=0.01, seed=7)
+        )
+        cache = SubformulaCache()
+        for name in ("P1", "P2"):
+            bench = benchmark_query(name)
+            cold = run_full_lineage(db, bench, cache=cache)
+            warm = run_full_lineage(db, bench, cache=cache)
+            assert agreement(cold, run_partial_lineage(db, bench))
+            assert agreement(cold, warm, tolerance=0.0)
+        assert cache.stats.hit_rate > 0.0
+
 
 class TestOBDDCache:
     def test_rebuild_hits_cache_and_agrees(self):

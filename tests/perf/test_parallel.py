@@ -17,7 +17,6 @@ from repro.perf.parallel import (
     estimate_component,
     group_by_component,
     parallel_marginals,
-    sliced_marginals,
     solve_slice,
 )
 from repro.query.parser import parse_query
@@ -56,14 +55,14 @@ class TestSlicedMarginals:
         for _ in range(30):
             net, roots = multi_component_network(rng, rng.randint(1, 5))
             targets = roots + [EPSILON]
-            assert_matches_oracle(net, targets, sliced_marginals(net, targets))
+            assert_matches_oracle(net, targets, parallel_marginals(net, targets))
 
     def test_random_entangled_networks(self):
         rng = random.Random(22)
         for _ in range(30):
             net = random_network(rng, rng.randint(2, 7), rng.randint(1, 7))
             targets = [v for v in net.nodes() if v != EPSILON]
-            assert_matches_oracle(net, targets, sliced_marginals(net, targets))
+            assert_matches_oracle(net, targets, parallel_marginals(net, targets))
 
     def test_single_giant_component(self):
         # one chain entangling every leaf: slicing must degrade gracefully
@@ -75,14 +74,14 @@ class TestSlicedMarginals:
         top = net.add_gate(NodeKind.AND, [(gate, 1.0), (leaves[0], 1.0)])
         targets = [gate, top]
         assert len(group_by_component(net, targets)) == 1
-        assert_matches_oracle(net, targets, sliced_marginals(net, targets))
+        assert_matches_oracle(net, targets, parallel_marginals(net, targets))
 
     def test_all_singleton_components(self):
         net = AndOrNetwork()
         leaves = [net.add_leaf(0.1 * (i + 1)) for i in range(8)]
         works = group_by_component(net, leaves)
         assert len(works) == 8
-        out = sliced_marginals(net, leaves)
+        out = parallel_marginals(net, leaves)
         for i, l in enumerate(leaves):
             assert out[l] == pytest.approx(0.1 * (i + 1))
 
@@ -92,13 +91,11 @@ class TestSlicedMarginals:
             net, roots = multi_component_network(rng, 3)
             for engine in ("auto", "ve", "dpll"):
                 assert_matches_oracle(
-                    net, roots, sliced_marginals(net, roots, engine=engine)
+                    net, roots, parallel_marginals(net, roots, engine=engine)
                 )
 
     def test_unknown_engine_rejected(self):
         net, roots = multi_component_network(random.Random(0), 1)
-        with pytest.raises(ValueError, match="engine"):
-            sliced_marginals(net, roots, engine="bogus")
         with pytest.raises(ValueError, match="engine"):
             parallel_marginals(net, roots, engine="bogus")
 
@@ -117,7 +114,7 @@ class TestSlicedMarginals:
         )
         nodes = [l for _, l, _ in result.relation.items()]
         assert_matches_oracle(
-            result.network, nodes, sliced_marginals(result.network, nodes)
+            result.network, nodes, parallel_marginals(result.network, nodes)
         )
 
 

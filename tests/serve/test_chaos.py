@@ -195,3 +195,58 @@ def test_burst_overflow_sheds_explicitly(workload):
             assert req.future.result(timeout=30.0)["answers"]
     finally:
         assert server.drain(timeout=30.0) is True
+
+
+def test_readers_racing_commits_never_see_a_torn_state():
+    """Exact readers race a writer toggling one tuple between two committed
+    states: every read bit-matches the oracle of exactly one of them."""
+    params = WorkloadParams(N=2, m=40, seed=0)
+    bench = benchmark_query("P1")
+    plan = left_deep_plan(bench.query, list(bench.join_order))
+
+    def oracle(database):
+        return PartialLineageEvaluator(database).evaluate(
+            plan
+        ).answer_probabilities()
+
+    db, db_b = generate_database(params), generate_database(params)
+    row, p_a = next(iter(db["R1"].items()))
+    p_b = p_a / 2
+    db_b["R1"].set_probability(row, p_b)
+    states = (oracle(db), oracle(db_b))
+    assert states[0] != states[1]  # the toggle is visible in the answers
+
+    server = Server(
+        db, policy=AdmissionPolicy(max_queue=16, workers=3),
+        default_deadline=30.0,
+    )
+    server.prepare("P1", bench.text, join_order=list(bench.join_order))
+    torn: list[dict] = []
+
+    def writer() -> None:
+        for i in range(10):
+            sid = server.begin()["session"]
+            server.set_prob(sid, "R1", row, p_a if i % 2 else p_b)
+            server.commit(sid)
+
+    def reader() -> None:
+        for _ in range(10):
+            payload = server.query("P1", mode="exact", deadline=30.0)
+            got = {
+                tuple(a["row"]): a["probability"] for a in payload["answers"]
+            }
+            if got not in states:
+                torn.append(got)
+
+    threads = [threading.Thread(target=writer)] + [
+        threading.Thread(target=reader) for _ in range(3)
+    ]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+        assert not any(t.is_alive() for t in threads)
+        assert torn == []
+    finally:
+        assert server.drain(timeout=30.0) is True
