@@ -3,9 +3,9 @@
 The partial lineage is engine-agnostic ("on this we run any general purpose
 probabilistic inference algorithm", Sec. 4.2). Measured here across the
 safety spectrum: linear tree propagation (when the network is a tree,
-including the in-database SQLite variant), junction-tree calibration, plain
-variable elimination, and DPLL on the compiled partial-lineage DNF — all
-agreeing exactly wherever they apply.
+including the in-database SQLite variant), plain variable elimination, and
+the exact solver on the compiled partial-lineage DNF (clause elimination or
+DPLL) — all agreeing exactly wherever they apply.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def test_engine_ablation(benchmark):
         if reference_result is None:
             reference_result = result
         reference, _ = run_engine(result, "ve")
-        engines = ["auto", "ve", "dpll", "junction"]
+        engines = ["auto", "ve", "dpll"]
         tree_ok = is_tree_factorable(result.network)
         if tree_ok:
             engines.append("tree")

@@ -51,12 +51,6 @@ from repro.core.approximate import (
     karp_luby_marginal,
     karp_luby_samples,
 )
-from repro.core.junction import (
-    CliqueTree,
-    all_marginals,
-    build_clique_tree,
-    calibrate_clique_tree,
-)
 from repro.core.treeprop import (
     is_tree_factorable,
     tree_marginals,
@@ -94,10 +88,6 @@ __all__ = [
     "karp_luby_marginal",
     "hoeffding_samples",
     "karp_luby_samples",
-    "CliqueTree",
-    "all_marginals",
-    "build_clique_tree",
-    "calibrate_clique_tree",
     "is_tree_factorable",
     "tree_marginals",
     "tree_marginals_array",

@@ -198,8 +198,7 @@ class EvaluationResult:
         component-sliced driver of :mod:`repro.perf.parallel`), ``"ve"`` /
         ``"dpll"`` (component-sliced, forcing the respective per-component
         engine), ``"tree"`` (bottom-up propagation, rejects
-        non-tree-factorable networks), or ``"junction"`` (one clique-tree
-        calibration per component, all marginals shared).
+        non-tree-factorable networks).
 
         *cache* is an optional shared :class:`~repro.perf.SubformulaCache`
         for the DPLL paths: the per-answer marginal solves then reuse each
@@ -241,7 +240,6 @@ class EvaluationResult:
         self, engine, dpll_max_calls, cache, workers, budget,
         rows, nodes, flight_start,
     ) -> dict[Row, float]:
-        from repro.core.junction import all_marginals
         from repro.core.treeprop import is_tree_factorable, tree_marginals
         from repro.perf.parallel import parallel_marginals
 
@@ -256,9 +254,6 @@ class EvaluationResult:
                 marginals = tree_marginals(
                     self.network, check=engine == "tree", budget=budget
                 )
-            elif engine == "junction":
-                sp.annotate(path="junction")
-                marginals = all_marginals(self.network, nodes, budget=budget)
             else:
                 sp.annotate(path="sliced")
                 marginals = parallel_marginals(

@@ -262,8 +262,10 @@ def induced_width(factors: Sequence[Factor], keep: Iterable[int] = ()) -> int:
 #: decompositions beat pure treewidth methods on the benchmark workloads.
 VE_WIDTH_LIMIT = 6
 
-#: Hard ceiling for the VE fallback when DNF compilation is infeasible.
-VE_WIDTH_HARD_LIMIT = 18
+
+def _width_limit(budget) -> int:
+    """:data:`VE_WIDTH_LIMIT`, or *budget*'s ``max_width`` when it sets one."""
+    return VE_WIDTH_LIMIT if budget is None else budget.width_limit(VE_WIDTH_LIMIT)
 
 
 def assignment_probability(
@@ -336,7 +338,7 @@ def compute_marginal(
     * ``"auto"`` (default) — variable elimination on narrow networks (width
       at most :data:`VE_WIDTH_LIMIT`, e.g. hash-collapsed tree networks),
       the lineage path beyond; if DNF compilation itself is infeasible, fall
-      back to variable elimination up to :data:`VE_WIDTH_HARD_LIMIT`.
+      back to variable elimination.
 
     The span's ``path`` names the engine that answered: ``ve``,
     ``lineage-ve``, ``dpll``, or ``cache`` (a root hit in *cache*).
@@ -363,12 +365,9 @@ def compute_marginal(
         relevant = net.ancestors([node])
         relevant.add(EPSILON)
         factors = network_factors(net, relevant)
-        width_limit = (
-            VE_WIDTH_LIMIT if budget is None else budget.width_limit(VE_WIDTH_LIMIT)
-        )
         if (
             engine == "auto"
-            and induced_width(factors, keep={node}) > width_limit
+            and induced_width(factors, keep={node}) > _width_limit(budget)
         ):
             try:
                 return _lineage_marginal(

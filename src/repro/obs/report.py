@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.core.executor import PartialLineageEvaluator
 from repro.core.explain import explain as explain_plan
+from repro.core.inference import _width_limit
 from repro.core.plan import left_deep_plan
 from repro.db.database import ProbabilisticDatabase
 from repro.db.schema import Row
@@ -359,7 +360,9 @@ def build_explain_report(
         nodes = [l for _, l, _ in rows]
         cache = SubformulaCache()
         start = time.perf_counter()
-        works = group_by_component(result.network, nodes)
+        works = group_by_component(
+            result.network, nodes, _width_limit(budget)
+        )
         marginals = {0: 1.0}  # EPSILON
         slices: list[dict] = []
         degraded_answers = 0

@@ -369,9 +369,9 @@ def cache_dict(cache) -> dict:
 
 def engines_dict(handle) -> dict:
     """The ``engines`` block: how many component slices each exact engine
-    answered (``tree`` / ``ve`` / ``junction`` / ``lineage-ve`` / ``dpll`` /
-    ``cache``), read from the ``solve_slice`` spans recorded under the span
-    *handle* — ``{}`` when no tracer was recording."""
+    answered (``tree`` / ``ve`` / ``lineage-ve`` / ``dpll`` / ``cache``),
+    read from the ``solve_slice`` spans recorded under the span *handle* —
+    ``{}`` when no tracer was recording."""
     root = getattr(handle, "span", None)
     counts: dict = {}
     if root is not None:

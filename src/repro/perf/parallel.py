@@ -10,13 +10,14 @@ set aside. This module exploits both facts:
   each needed component once
   (:meth:`~repro.core.network.AndOrNetwork.extract_component`), and solves
   every component (:func:`solve_slice`) with the cheapest applicable
-  engine: the batched tree-propagation kernel when it is tree-factorable, one
-  clique-tree calibration shared by all of the component's targets when its
-  elimination width is small, and the DPLL path (against a shared
-  :class:`~repro.perf.SubformulaCache`) beyond. The expensive per-answer
-  width estimation of the serial path is replaced by one *early-exit*
-  min-degree pass per component (:func:`estimate_component`), which stops
-  the moment the width budget is exceeded.
+  engine: the batched tree-propagation kernel when it is tree-factorable,
+  one evidence-reduced elimination when it holds a single answer and its
+  elimination width is small, and the lineage path (clause elimination or
+  DPLL against a shared :class:`~repro.perf.SubformulaCache`) otherwise.
+  The expensive per-answer width estimation of the serial path is replaced
+  by one *early-exit* min-degree pass per component
+  (:func:`estimate_component`), which stops the moment the width budget is
+  exceeded.
 * With ``workers >= 2`` it fans the extracted components out over a
   process pool driven by the fault-tolerant
   :func:`repro.resilience.pool.run_chunks` dispatcher: components are
@@ -29,6 +30,9 @@ set aside. This module exploits both facts:
   retry on a fresh pool and finally requeue to the in-process serial path,
   so one dead worker never loses its chunk. A cost threshold keeps small
   workloads on the serial path, so tiny queries never pay pool startup.
+  The same fan-out (:func:`_fan_out`) carries the degradation ladder of
+  :func:`repro.resilience.execute.resilient_marginals`, with the ladder as
+  the per-component solve.
 
 Exactness is unaffected throughout: every path computes the same marginals
 as :func:`repro.core.inference.compute_marginal` on the full network
@@ -45,12 +49,12 @@ from dataclasses import dataclass
 from repro.core.inference import (
     VE_WIDTH_LIMIT,
     _dpll_marginal,
+    _width_limit,
     compute_marginal,
     eliminate,
     network_factors,
     reduce_evidence,
 )
-from repro.core.junction import _elimination_cliques, calibrate_clique_tree
 from repro.core.network import EPSILON, AndOrNetwork, ComponentSlice
 from repro.core.treeprop import is_tree_factorable, tree_marginals_array
 from repro.errors import CapacityError
@@ -187,27 +191,28 @@ def solve_slice(
 
     *engine* mirrors :func:`repro.core.inference.compute_marginal`:
     ``"auto"`` picks batched tree propagation for tree-factorable
-    components, variable elimination when the width probe stays within
-    :data:`~repro.core.inference.VE_WIDTH_LIMIT` (one shared clique-tree
-    calibration when the component carries several targets, a single
-    evidence-reduced elimination when it carries one), and the cache-backed
-    lineage path beyond — compile each target's DNF and solve it exactly,
-    by elimination over its clauses or by DPLL, as
+    components, a single evidence-reduced variable elimination for a
+    component with one target whose width probe stays within
+    :data:`~repro.core.inference.VE_WIDTH_LIMIT`, and the cache-backed
+    lineage path for everything else — compile each target's DNF and solve
+    it exactly, by elimination over its clauses or by DPLL, as
     :func:`repro.lineage.exact.dnf_probability` decides (falling back to
     network variable elimination if DNF compilation blows up); ``"ve"``
-    forces the network elimination paths, ``"dpll"`` the lineage path. The
-    span's ``path`` names the engine that answered — ``tree``, ``ve``,
-    ``junction``, ``lineage-ve``, ``dpll`` or ``cache`` (every target a root
-    hit in *cache*) — with the lineage order's ``width`` and ``eliminated``
-    / ``dpll_calls`` counters. *narrow* optionally forwards an already-computed
-    :func:`estimate_component` verdict so the probe is not repeated.
-    *budget* is an optional :class:`~repro.resilience.QueryBudget` threaded
-    into every backend's cooperative checkpoints (its ``max_width`` also
-    overrides the width-probe limit when the probe runs here).
+    forces one network elimination per target, ``"dpll"`` the lineage path.
+    The span's ``path`` names the engine that answered — ``tree``, ``ve``,
+    ``lineage-ve``, ``dpll`` or ``cache`` (every target a root hit in
+    *cache*) — with the lineage order's ``width`` and ``eliminated`` /
+    ``dpll_calls`` counters. *narrow* optionally forwards an
+    already-computed :func:`estimate_component` verdict so the probe is not
+    repeated. *budget* is an optional :class:`~repro.resilience.QueryBudget`
+    threaded into every backend's cooperative checkpoints (its
+    ``max_width`` also overrides the width-probe limit when the probe runs
+    here).
     """
     if engine not in ("auto", "ve", "dpll"):
         raise ValueError(f"unknown inference engine {engine!r}")
     targets = [t for t in targets]
+    real = [t for t in targets if t != EPSILON]
     if budget is not None:
         budget.checkpoint("solve_slice")
     with _span(
@@ -217,38 +222,19 @@ def solve_slice(
             sp.annotate(path="tree")
             arr = tree_marginals_array(subnet, check=False, budget=budget)
             return {t: float(arr[t]) for t in targets}
-        if engine != "dpll":
-            if narrow is None:
-                limit = (
-                    VE_WIDTH_LIMIT
-                    if budget is None
-                    else budget.width_limit(VE_WIDTH_LIMIT)
-                )
-                narrow, _ = estimate_component(subnet, limit)
-            if engine == "ve" or narrow:
-                factors = network_factors(subnet)
-                real = [t for t in targets if t != EPSILON]
-                if len(real) == 1:
-                    # the common sliced shape — one answer per component: a
-                    # single evidence-reduced elimination beats calibrating a
-                    # whole clique tree (two full message passes) for one read
-                    sp.annotate(path="ve")
-                    reduced = [
-                        reduce_evidence(f, {real[0]: 1}) for f in factors
-                    ]
-                    out = {t: 1.0 for t in targets}
-                    out[real[0]] = float(
-                        eliminate(reduced, budget=budget).table
-                    )
-                    return out
-                sp.annotate(path="junction")
-                tree = calibrate_clique_tree(
-                    factors, _elimination_cliques(factors), budget=budget
-                )
-                return {
-                    t: 1.0 if t == EPSILON else tree.marginal(t)
-                    for t in targets
-                }
+        if engine == "auto" and len(real) == 1 and narrow is None:
+            narrow, _ = estimate_component(subnet, _width_limit(budget))
+        if engine == "ve" or (engine == "auto" and len(real) == 1 and narrow):
+            # the common sliced shape is one answer per component; several
+            # answers share the lineage path below, whose clause elimination
+            # beats one network elimination per target
+            sp.annotate(path="ve")
+            factors = network_factors(subnet)
+            out = {t: 1.0 for t in targets}
+            for t in real:
+                reduced = [reduce_evidence(f, {t: 1}) for f in factors]
+                out[t] = float(eliminate(reduced, budget=budget).table)
+            return out
         # the lineage path: which engine answers is the exact solver's call,
         # so the span is annotated from what it reports, worst target first
         from repro.lineage.exact import DPLLStats
@@ -278,13 +264,6 @@ def solve_slice(
         return out
 
 
-def _merge_back(
-    out: dict[int, float], work: ComponentWork, solved: dict[int, float]
-) -> None:
-    for sub, prob in solved.items():
-        out[work.slice.to_orig(sub)] = prob
-
-
 def _chunk_by_cost(
     works: list[ComponentWork], chunks: int
 ) -> list[list[int]]:
@@ -303,9 +282,9 @@ def _chunk_by_cost(
 
 
 def _solve_chunk(payload):
-    """Worker entry point: solve a list of (subnet, targets) tasks.
+    """Worker entry point: solve one chunk of component tasks.
 
-    Returns the per-task marginal dicts, the worker's subformula-cache
+    Returns the per-task result dicts, the worker's subformula-cache
     entries (canonical keys are rename-invariant, so the caller's merge-back
     stays valid across the component id-remaps and across workers), and —
     when the dispatching process had a tracer active — the worker's span
@@ -313,8 +292,7 @@ def _solve_chunk(payload):
     ``workers=2`` run still renders as one timeline. The chunk's injected
     fault, if any, fires first (chaos tests only).
     """
-    (tasks, engine, dpll_max_calls, traced,
-     budget, chunk, attempt, fault_plan) = payload
+    solver, tasks, budget, traced, chunk, attempt, fault_plan = payload
     fault = None if fault_plan is None else fault_plan.for_chunk(chunk, attempt)
     poison = apply_fault(fault)
     if budget is not None:
@@ -322,13 +300,7 @@ def _solve_chunk(payload):
     cache = SubformulaCache()
 
     def solve_all():
-        return [
-            solve_slice(
-                subnet, targets, engine, dpll_max_calls, cache, narrow,
-                budget=budget,
-            )
-            for subnet, targets, narrow in tasks
-        ]
+        return [solver(task, cache, budget, None) for task in tasks]
 
     if traced:
         with Tracer() as tracer:
@@ -339,18 +311,145 @@ def _solve_chunk(payload):
         solved = solve_all()
         spans = []
     if poison:
-        solved = [{t: math.nan for t in d} for d in solved]
+        solved = [{t: solver.poison(v) for t, v in d.items()} for d in solved]
     return solved, cache.entries(), spans
 
 
-def _validate_marginals(result) -> str | None:
-    """Reject chunk results carrying non-finite marginals (NaN poisoning)."""
-    solved_list, _entries, _spans = result
-    for solved in solved_list:
-        for prob in solved.values():
-            if not math.isfinite(prob):
-                return "poisoned_result"
-    return None
+def _fan_out(
+    span_name: str, net: AndOrNetwork, nodes, solver, *,
+    workers, min_parallel_cost, chunks_per_worker, cache, budget, registry,
+    timeout, max_retries, fault_plan, **attrs,
+) -> dict:
+    """The component fan-out behind :func:`parallel_marginals` and
+    :func:`repro.resilience.execute.resilient_marginals`.
+
+    Groups *nodes* by component (probing each under *budget*'s width
+    limit), then solves every component with *solver* — in-process, or
+    LPT-chunked over :func:`~repro.resilience.pool.run_chunks` with
+    worker-cache merge-back and span grafting. *solver* is a picklable
+    object that ships to the workers:
+
+    * ``solver.tasks(works)`` — one picklable task per
+      :class:`ComponentWork`;
+    * ``solver(task, cache, budget, registry)`` — ``{slice id: value}``;
+    * ``solver.epsilon()`` — the value reported for ε;
+    * ``solver.sound(value)`` / ``solver.poison(value)`` — the merge-back
+      validator and the chaos suite's corruption of one value.
+
+    *budget* must already be started (or ``None``).
+    """
+    works = group_by_component(net, nodes, _width_limit(budget))
+    tasks = solver.tasks(works)
+    total_cost = sum(w.cost for w in works)
+    if workers is None or workers < 2:
+        fallback_reason = "no_workers"
+    elif len(works) < 2:
+        fallback_reason = "single_component"
+    elif total_cost < min_parallel_cost:
+        fallback_reason = "below_cost_threshold"
+    else:
+        fallback_reason = None
+    out = {EPSILON: solver.epsilon()}
+    if cache is None:
+        # one call's in-process solves still share subformulas
+        cache = SubformulaCache()
+
+    def solve(members) -> list[dict]:
+        return [solver(tasks[i], cache, budget, registry) for i in members]
+
+    def merge(members, solved_list) -> None:
+        for i, solved in zip(members, solved_list):
+            for sub, value in solved.items():
+                out[works[i].slice.to_orig(sub)] = value
+
+    with _span(
+        span_name, **attrs, components=len(works), total_cost=total_cost
+    ) as sp:
+        if registry is not None:
+            registry.gauge("pool.components", len(works))
+            registry.gauge("pool.total_cost", total_cost)
+        if fallback_reason is not None:
+            sp.annotate(mode="serial", fallback_reason=fallback_reason)
+            if registry is not None:
+                registry.inc(f"pool.serial_fallback.{fallback_reason}")
+            everything = range(len(works))
+            merge(everything, solve(everything))
+            return out
+        chunks = _chunk_by_cost(works, workers * chunks_per_worker)
+        sp.annotate(mode="parallel", workers=workers, chunks=len(chunks))
+        if registry is not None:
+            registry.gauge("pool.workers", workers)
+            registry.inc("pool.dispatches")
+            registry.inc("pool.chunks", len(chunks))
+            for members in chunks:
+                registry.observe("pool.chunk_tasks", len(members))
+                registry.observe(
+                    "pool.chunk_cost", sum(works[i].cost for i in members)
+                )
+        tracer = current_tracer()
+
+        def payload_fn(index, attempt):
+            return (
+                solver, [tasks[i] for i in chunks[index]],
+                None if budget is None else budget.for_worker(),
+                tracer is not None, index, attempt, fault_plan,
+            )
+
+        def validate(result) -> str | None:
+            solved_list, _entries, _spans = result
+            for solved in solved_list:
+                if not all(map(solver.sound, solved.values())):
+                    return "poisoned_result"
+            return None
+
+        outcomes = run_chunks(
+            _solve_chunk,
+            payload_fn,
+            len(chunks),
+            workers=workers,
+            serial_fn=lambda index: (solve(chunks[index]), [], []),
+            timeout=timeout,
+            max_retries=max_retries,
+            validate=validate,
+            registry=registry,
+        )
+        for members, chunk_outcome in zip(chunks, outcomes):
+            solved_list, entries, worker_spans = chunk_outcome.result
+            merge(members, solved_list)
+            if entries:
+                cache.merge(entries)
+            if worker_spans and tracer is not None:
+                tracer.attach(worker_spans, under=sp.span)
+        return out
+
+
+@dataclass(frozen=True)
+class _SliceSolver:
+    """:func:`solve_slice` as a :func:`_fan_out` solver."""
+
+    engine: str
+    dpll_max_calls: int
+
+    @staticmethod
+    def tasks(works):
+        return [(w.slice.network, w.targets, w.narrow) for w in works]
+
+    def __call__(self, task, cache, budget, registry):
+        subnet, targets, narrow = task
+        return solve_slice(
+            subnet, targets, self.engine, self.dpll_max_calls, cache,
+            narrow=narrow, budget=budget,
+        )
+
+    @staticmethod
+    def epsilon() -> float:
+        return 1.0
+
+    sound = staticmethod(math.isfinite)
+
+    @staticmethod
+    def poison(_prob: float) -> float:
+        return math.nan
 
 
 def parallel_marginals(
@@ -389,7 +488,8 @@ def parallel_marginals(
     :class:`~repro.resilience.faults.FaultPlan` injecting deterministic
     failures for the chaos suite. *budget* is an optional
     :class:`~repro.resilience.QueryBudget` threaded into the workers (as a
-    remaining-deadline copy) and the serial paths.
+    remaining-deadline copy) and the serial paths; its ``max_width`` sets
+    the width probe's limit.
 
     *registry* is an optional :class:`~repro.obs.metrics.MetricsRegistry`
     recording the pool's scheduling decisions: worker and chunk counts,
@@ -412,96 +512,11 @@ def parallel_marginals(
         raise ValueError(f"unknown inference engine {engine!r}")
     if budget is not None:
         budget = budget.start()
-    works = group_by_component(net, nodes)
-    total_cost = sum(w.cost for w in works)
-    if workers is None or workers < 2:
-        fallback_reason = "no_workers"
-    elif len(works) < 2:
-        fallback_reason = "single_component"
-    elif total_cost < min_parallel_cost:
-        fallback_reason = "below_cost_threshold"
-    else:
-        fallback_reason = None
-    out = {EPSILON: 1.0}
-    if cache is None:
-        # one call's in-process solves still share subformulas
-        cache = SubformulaCache()
-
-    def solve(work: ComponentWork) -> dict[int, float]:
-        return solve_slice(
-            work.slice.network,
-            work.targets,
-            engine,
-            dpll_max_calls,
-            cache,
-            narrow=work.narrow,
-            budget=budget,
-        )
-
-    with _span(
-        "parallel_marginals",
-        engine=engine,
-        components=len(works),
-        total_cost=total_cost,
-    ) as sp:
-        if registry is not None:
-            registry.gauge("pool.components", len(works))
-            registry.gauge("pool.total_cost", total_cost)
-        if fallback_reason is not None:
-            sp.annotate(mode="serial", fallback_reason=fallback_reason)
-            if registry is not None:
-                registry.inc(f"pool.serial_fallback.{fallback_reason}")
-            for work in works:
-                _merge_back(out, work, solve(work))
-            return out
-        chunks = _chunk_by_cost(works, workers * chunks_per_worker)
-        sp.annotate(mode="parallel", workers=workers, chunks=len(chunks))
-        if registry is not None:
-            registry.gauge("pool.workers", workers)
-            registry.inc("pool.dispatches")
-            registry.inc("pool.chunks", len(chunks))
-            for members in chunks:
-                registry.observe("pool.chunk_tasks", len(members))
-                registry.observe(
-                    "pool.chunk_cost", sum(works[i].cost for i in members)
-                )
-        tracer = current_tracer()
-
-        def payload_fn(index, attempt):
-            return (
-                [
-                    (works[i].slice.network, works[i].targets, works[i].narrow)
-                    for i in chunks[index]
-                ],
-                engine,
-                dpll_max_calls,
-                tracer is not None,
-                None if budget is None else budget.for_worker(),
-                index,
-                attempt,
-                fault_plan,
-            )
-
-        def serial_fn(index):
-            return [solve(works[i]) for i in chunks[index]], [], []
-
-        outcomes = run_chunks(
-            _solve_chunk,
-            payload_fn,
-            len(chunks),
-            workers=workers,
-            serial_fn=serial_fn,
-            timeout=timeout,
-            max_retries=max_retries,
-            validate=_validate_marginals,
-            registry=registry,
-        )
-        for index, chunk_outcome in enumerate(outcomes):
-            solved_list, entries, worker_spans = chunk_outcome.result
-            for i, solved in zip(chunks[index], solved_list):
-                _merge_back(out, works[i], solved)
-            if entries:
-                cache.merge(entries)
-            if worker_spans and tracer is not None:
-                tracer.attach(worker_spans, under=sp.span)
-        return out
+    return _fan_out(
+        "parallel_marginals", net, nodes,
+        _SliceSolver(engine, dpll_max_calls),
+        workers=workers, min_parallel_cost=min_parallel_cost,
+        chunks_per_worker=chunks_per_worker, cache=cache, budget=budget,
+        registry=registry, timeout=timeout, max_retries=max_retries,
+        fault_plan=fault_plan, engine=engine,
+    )

@@ -5,8 +5,8 @@ deadline plus caps on network growth, elimination width, DPLL calls, OBDD
 nodes, approximation work, and Monte-Carlo samples. It is *cooperative*:
 nothing preempts a running kernel — instead the evaluator, both pL engines,
 and every inference backend call :meth:`QueryBudget.checkpoint` at natural
-step boundaries (one relational operator, one eliminated variable, one
-clique-tree message, a block of DPLL calls), and the checkpoint raises
+step boundaries (one relational operator, one eliminated variable, a block
+of DPLL calls), and the checkpoint raises
 :class:`~repro.errors.DeadlineExceededError` once the deadline has passed.
 
 Checkpoints cost one ``time.monotonic()`` call, so leaving a budget attached
@@ -54,9 +54,10 @@ class QueryBudget:
     #: Cap on And-Or network size during evaluation (offending-tuple-dense
     #: instances grow the network; this bounds the memory/inference exposure).
     max_network_nodes: int | None = None
-    #: Elimination-width cap for the exact VE/junction paths and for the
-    #: lineage solver's elimination engine; ``None`` keeps each engine's
-    #: default (:data:`repro.core.inference.VE_WIDTH_LIMIT`,
+    #: Elimination-width cap for the network width probe that routes a
+    #: component to variable elimination and for the lineage solver's
+    #: elimination engine; ``None`` keeps each engine's default
+    #: (:data:`repro.core.inference.VE_WIDTH_LIMIT`,
     #: :data:`repro.lineage.exact.ELIMINATION_WIDTH_LIMIT`).
     max_width: int | None = None
     #: DPLL call budget for exact DNF solves.

@@ -1,14 +1,14 @@
 """Resilient final inference: the ladder, component-sliced and pool-backed.
 
 :func:`resilient_marginals` is the degradation-aware counterpart of
-:func:`repro.perf.parallel.parallel_marginals`: the same
-group-by-component slicing and LPT cost chunking, but every component
-solves through the :mod:`~repro.resilience.ladder` (so hard components
-return sound intervals instead of raising) and the process fan-out runs on
-the fault-tolerant :func:`~repro.resilience.pool.run_chunks` dispatcher
-(so worker crashes, stuck workers, and poisoned results retry and finally
-requeue to the serial path). One hard component never blanks the other
-answers; one dead worker never blanks its chunk.
+:func:`repro.perf.parallel.parallel_marginals` and runs on the same
+component fan-out: group-by-component slicing, LPT cost chunking and the
+fault-tolerant :func:`~repro.resilience.pool.run_chunks` dispatcher (so
+worker crashes, stuck workers, and poisoned results retry and finally
+requeue to the serial path). Only the per-component solve differs: every
+component walks the :mod:`~repro.resilience.ladder`, so hard components
+return sound intervals instead of raising. One hard component never blanks
+the other answers; one dead worker never blanks its chunk.
 
 Determinism: each component's sampling rung seeds its own
 ``random.Random`` from ``(seed, original first target id)``, so the pool
@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 
-from repro.core.network import EPSILON, AndOrNetwork
-from repro.obs.trace import Tracer, current_tracer
-from repro.obs.trace import span as _span
+from repro.core.network import AndOrNetwork
 from repro.perf.cache import SubformulaCache
-from repro.perf.parallel import _chunk_by_cost, group_by_component
+from repro.perf.parallel import _fan_out
 from repro.resilience.budget import QueryBudget
-from repro.resilience.faults import FaultPlan, apply_fault
+from repro.resilience.faults import FaultPlan
 from repro.resilience.ladder import MarginalOutcome, resilient_component_marginals
-from repro.resilience.pool import run_chunks
 
 __all__ = ["exact_fractions", "resilient_marginals"]
 
@@ -58,66 +56,48 @@ def exact_fractions(works) -> list[float]:
     return fractions
 
 
-def _validate_outcomes(result) -> str | None:
-    """Reject chunk results whose enclosures are not finite sound intervals
-    (the NaN-poisoning chaos scenario: corruption must retry, not merge)."""
-    solved_list, _entries, _spans = result
-    for solved in solved_list:
-        for outcome in solved.values():
-            if not (
-                math.isfinite(outcome.lower)
-                and math.isfinite(outcome.upper)
-                and outcome.lower <= outcome.upper
-            ):
-                return "poisoned_result"
-    return None
+@dataclass(frozen=True)
+class _LadderSolver:
+    """:func:`resilient_component_marginals` as a fan-out solver (see
+    :func:`repro.perf.parallel._fan_out`)."""
 
+    seed: int
 
-def _resilient_chunk(payload):
-    """Worker entry point: ladder-solve a list of component tasks.
-
-    Applies the chunk's injected fault first (chaos tests only), then
-    solves each ``(subnet, targets, narrow, rng_key, exact_fraction,
-    est_cost)`` task with a fresh subformula cache, returning the outcome
-    dicts, the cache entries for merge-back, and — when the parent traced —
-    the local span forest.
-    """
-    tasks, budget, seed, traced, chunk, attempt, fault_plan = payload
-    fault = None if fault_plan is None else fault_plan.for_chunk(chunk, attempt)
-    poison = apply_fault(fault)
-    budget = budget.start() if budget is not None else None
-    cache = SubformulaCache()
-
-    def solve_all():
+    @staticmethod
+    def tasks(works):
         return [
-            resilient_component_marginals(
-                subnet,
-                targets,
-                budget=budget,
-                cache=cache,
-                rng=_component_rng(seed, rng_key),
-                narrow=narrow,
-                exact_fraction=fraction,
-                est_cost=est_cost,
-            )
-            for subnet, targets, narrow, rng_key, fraction, est_cost in tasks
+            (w.slice.network, w.targets, w.narrow,
+             w.slice.to_orig(w.targets[0]), fraction, w.cost)
+            for w, fraction in zip(works, exact_fractions(works))
         ]
 
-    if traced:
-        with Tracer() as tracer:
-            with tracer.span("worker_chunk", tasks=len(tasks), resilient=True):
-                solved = solve_all()
-        spans = tracer.roots
-    else:
-        solved = solve_all()
-        spans = []
-    if poison:
-        solved = [
-            {t: MarginalOutcome(math.nan, math.nan, o.method, o.exact, o.steps)
-             for t, o in d.items()}
-            for d in solved
-        ]
-    return solved, cache.entries(), spans
+    def __call__(self, task, cache, budget, registry):
+        subnet, targets, narrow, rng_key, fraction, est_cost = task
+        return resilient_component_marginals(
+            subnet, targets, budget=budget, cache=cache,
+            rng=_component_rng(self.seed, rng_key), registry=registry,
+            narrow=narrow, exact_fraction=fraction, est_cost=est_cost,
+        )
+
+    @staticmethod
+    def epsilon() -> MarginalOutcome:
+        return MarginalOutcome(1.0, 1.0, "exact", True)
+
+    @staticmethod
+    def sound(outcome: MarginalOutcome) -> bool:
+        """Enclosures must be finite sound intervals (the NaN-poisoning
+        chaos scenario: corruption must retry, not merge)."""
+        return (
+            math.isfinite(outcome.lower)
+            and math.isfinite(outcome.upper)
+            and outcome.lower <= outcome.upper
+        )
+
+    @staticmethod
+    def poison(outcome: MarginalOutcome) -> MarginalOutcome:
+        return MarginalOutcome(
+            math.nan, math.nan, outcome.method, outcome.exact, outcome.steps
+        )
 
 
 def resilient_marginals(
@@ -142,112 +122,18 @@ def resilient_marginals(
     :func:`~repro.resilience.pool.run_chunks` with per-dispatch *timeout*,
     *max_retries* pool rounds, and serial requeue — so the call returns an
     outcome for **every** node no matter which workers die. *fault_plan*
-    deterministically injects failures (chaos tests).
+    deterministically injects failures (chaos tests). The component width
+    probe honours the budget's ``max_width``, exactly as
+    :func:`~repro.resilience.ladder.resilient_component_marginals` does.
 
     Unlike the exact path there is no cost threshold: the caller asked for
     resilience explicitly, and tiny workloads are exactly the ones whose
     pool startup cost does not matter.
     """
-    budget = (budget or QueryBudget()).start()
-    works = group_by_component(net, nodes)
-    out: dict[int, MarginalOutcome] = {
-        EPSILON: MarginalOutcome(1.0, 1.0, "exact", True)
-    }
-    parallel = workers is not None and workers >= 2 and len(works) >= 2
-    with _span(
-        "resilient_marginals",
-        components=len(works),
-        mode="parallel" if parallel else "serial",
-    ) as sp:
-        if registry is not None:
-            registry.gauge("resilience.components", len(works))
-        if cache is None:
-            cache = SubformulaCache()
-        fractions = exact_fractions(works)
-        if not parallel:
-            for work, fraction in zip(works, fractions):
-                solved = resilient_component_marginals(
-                    work.slice.network,
-                    work.targets,
-                    budget=budget,
-                    cache=cache,
-                    rng=_component_rng(seed, work.slice.to_orig(work.targets[0])),
-                    registry=registry,
-                    narrow=work.narrow,
-                    exact_fraction=fraction,
-                    est_cost=work.cost,
-                )
-                for sub, outcome in solved.items():
-                    out[work.slice.to_orig(sub)] = outcome
-            return out
-
-        chunks = _chunk_by_cost(works, workers * chunks_per_worker)
-        sp.annotate(workers=workers, chunks=len(chunks))
-        if registry is not None:
-            registry.gauge("pool.workers", workers)
-            registry.inc("pool.dispatches")
-        tracer = current_tracer()
-
-        def chunk_tasks(members):
-            return [
-                (
-                    works[i].slice.network,
-                    works[i].targets,
-                    works[i].narrow,
-                    works[i].slice.to_orig(works[i].targets[0]),
-                    fractions[i],
-                    works[i].cost,
-                )
-                for i in members
-            ]
-
-        def payload_fn(index, attempt):
-            return (
-                chunk_tasks(chunks[index]),
-                budget.for_worker(),
-                seed,
-                tracer is not None,
-                index,
-                attempt,
-                fault_plan,
-            )
-
-        def serial_fn(index):
-            solved = [
-                resilient_component_marginals(
-                    subnet,
-                    targets,
-                    budget=budget,
-                    cache=cache,
-                    rng=_component_rng(seed, rng_key),
-                    registry=registry,
-                    narrow=narrow,
-                    exact_fraction=fraction,
-                    est_cost=est_cost,
-                )
-                for subnet, targets, narrow, rng_key, fraction, est_cost
-                in chunk_tasks(chunks[index])
-            ]
-            return solved, [], []
-
-        outcomes = run_chunks(
-            _resilient_chunk,
-            payload_fn,
-            len(chunks),
-            workers=workers,
-            serial_fn=serial_fn,
-            timeout=timeout,
-            max_retries=max_retries,
-            validate=_validate_outcomes,
-            registry=registry,
-        )
-        for index, chunk_outcome in enumerate(outcomes):
-            solved_list, entries, worker_spans = chunk_outcome.result
-            for i, solved in zip(chunks[index], solved_list):
-                for sub, outcome in solved.items():
-                    out[works[i].slice.to_orig(sub)] = outcome
-            if entries:
-                cache.merge(entries)
-            if worker_spans and tracer is not None:
-                tracer.attach(worker_spans, under=sp.span)
-    return out
+    return _fan_out(
+        "resilient_marginals", net, nodes, _LadderSolver(seed),
+        workers=workers, min_parallel_cost=0.0,
+        chunks_per_worker=chunks_per_worker, cache=cache,
+        budget=(budget or QueryBudget()).start(), registry=registry,
+        timeout=timeout, max_retries=max_retries, fault_plan=fault_plan,
+    )

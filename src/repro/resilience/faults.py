@@ -30,14 +30,13 @@ requeue-to-serial path — the serial fallback never applies faults.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field
 
 from repro.errors import CapacityError
 
-__all__ = ["FaultSpec", "FaultPlan", "apply_fault", "poison_nan", "FAULT_KINDS"]
+__all__ = ["FaultSpec", "FaultPlan", "apply_fault", "FAULT_KINDS"]
 
 #: The injectable failure modes.
 FAULT_KINDS = ("crash", "slow", "capacity", "nan")
@@ -104,8 +103,3 @@ def apply_fault(spec: FaultSpec | None) -> bool:
     if spec.kind == "capacity":
         raise CapacityError("injected capacity fault")
     return spec.kind == "nan"
-
-
-def poison_nan(solved: list[dict[int, float]]) -> list[dict[int, float]]:
-    """Replace every marginal with NaN (the ``nan`` fault payload)."""
-    return [{k: math.nan for k in d} for d in solved]

@@ -10,8 +10,8 @@ a sound enclosure of its probability:
 
 1. **exact** — the normal component solve
    (:func:`repro.perf.parallel.solve_slice`: tree propagation / variable
-   elimination / junction tree / cached DPLL), under a fraction of the
-   remaining deadline (adaptive: the caller sizes ``exact_fraction`` from
+   elimination / clause elimination or cached DPLL), under a fraction of
+   the remaining deadline (adaptive: the caller sizes ``exact_fraction`` from
    its per-component cost estimates, and a hopeless estimate skips the
    rung outright);
 2. **dissociation** — two linear-time extensional folds over the component

@@ -262,7 +262,7 @@ def test_hashing_ablation_same_probability_bigger_network():
 
 
 def test_all_inference_engines_agree(rng):
-    """auto / ve / dpll / junction (and tree where applicable) must agree."""
+    """auto / ve / dpll (and tree where applicable) must agree."""
     from repro.core.treeprop import is_tree_factorable
 
     q = parse_query("R(x), S(x,y), T(y)")
@@ -271,7 +271,7 @@ def test_all_inference_engines_agree(rng):
         db = make_rst_database(rng)
         result = PartialLineageEvaluator(db).evaluate_query(q, ["R", "S", "T"])
         reference = result.answer_probabilities(engine="ve")
-        for engine in ("auto", "dpll", "junction"):
+        for engine in ("auto", "dpll"):
             got = result.answer_probabilities(engine=engine)
             assert set(got) == set(reference)
             for k in reference:
@@ -282,6 +282,17 @@ def test_all_inference_engines_agree(rng):
             for k in reference:
                 assert got[k] == pytest.approx(reference[k])
     assert checked_tree > 0
+
+
+def test_junction_engine_is_unknown():
+    db = ProbabilisticDatabase()
+    db.add_relation("R", ("A",), {(1,): 0.5})
+    db.add_relation("S", ("A", "B"), {(1, 1): 0.5, (1, 2): 0.5})
+    result = PartialLineageEvaluator(db).evaluate_query(
+        parse_query("q() :- R(x), S(x,y)"), ["R", "S"]
+    )
+    with pytest.raises(ValueError, match="unknown inference engine"):
+        result.answer_probabilities(engine="junction")
 
 
 def test_select_plan_node_in_memory():

@@ -42,7 +42,7 @@ def test_report_fields_reflect_the_run(db):
     assert report.component_count == sum(report.component_sizes.values())
     assert len(report.slices) == len([
         s for s in report.slices
-        if s["engine"] in ("tree", "ve", "junction", "lineage-ve", "dpll")
+        if s["engine"] in ("tree", "ve", "lineage-ve", "dpll")
     ])
     assert report.operators
     for op in report.operators:

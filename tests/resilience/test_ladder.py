@@ -74,6 +74,26 @@ class TestFallbackRungs:
         rungs = [(s.rung, s.outcome) for s in out[root].steps]
         assert ("exact", "failed") in rungs and ("obdd", "ok") in rungs
 
+    def test_sliced_entry_points_honour_max_width(self):
+        # both fan-outs probe each component under the budget's width cap,
+        # so they take the rung the component solve takes on its own
+        from repro.obs.trace import Tracer
+        from repro.perf.parallel import parallel_marginals
+        from repro.resilience.execute import resilient_marginals
+
+        net, root = entangled_component(random.Random(3))
+        alone = resilient_component_marginals(
+            net, [root], budget=QueryBudget(**NO_EXACT)
+        )
+        sliced = resilient_marginals(
+            net, [root], budget=QueryBudget(**NO_EXACT)
+        )
+        assert alone[root].method == sliced[root].method == "obdd"
+        with Tracer() as tracer:
+            parallel_marginals(net, [root], budget=QueryBudget(max_width=0))
+        (solve,) = tracer.roots[0].find("solve_slice")
+        assert solve.attrs["path"] == "dpll"
+
     def test_obdd_budget_falls_back_to_bounds(self):
         net, root = entangled_component(random.Random(4))
         out = resilient_component_marginals(
