@@ -84,7 +84,7 @@ def test_approximation_methods(benchmark):
         t = time.perf_counter() - start
         assert iv.contains(exact / scale)
         rows.append((f"interval bounds ε={epsilon}",
-                     f"[{scale * iv.low:.4f}, {scale * iv.high:.4f}]",
+                     f"[{scale * iv.lower:.4f}, {scale * iv.upper:.4f}]",
                      f"≤{scale * iv.width:.4f}", round(t, 4)))
 
     for label, dnf, probs in (("partial", pdnf, pprobs), ("full", fdnf, fprobs)):

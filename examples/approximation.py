@@ -75,10 +75,10 @@ def main() -> None:
     for epsilon in (0.2, 0.02, 0.002):
         start = time.perf_counter()
         iv = approximate_probability(pdnf, pprobs, epsilon=epsilon)
-        print(f"  ε={epsilon:<6} -> [{scale * iv.low:.5f}, "
-              f"{scale * iv.high:.5f}]  "
+        print(f"  ε={epsilon:<6} -> [{scale * iv.lower:.5f}, "
+              f"{scale * iv.upper:.5f}]  "
               f"({time.perf_counter() - start:.3f}s)")
-        assert iv.low - 1e-9 <= exact / scale <= iv.high + 1e-9
+        assert iv.lower - 1e-9 <= exact / scale <= iv.upper + 1e-9
 
     start = time.perf_counter()
     obdd = build_obdd(pdnf)

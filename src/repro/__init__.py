@@ -31,10 +31,8 @@ from repro.core import (
     PLRelation,
     PlanChoice,
     Project,
-    RankedAnswer,
     Scan,
     Select,
-    TopKReport,
     choose_join_order,
     compute_marginal,
     compute_marginals,
@@ -45,7 +43,6 @@ from repro.core import (
     optimized_plan,
     partial_lineage_dnf,
     plan_schema,
-    top_k_answers,
 )
 from repro.circuit import (
     ArithmeticCircuit,
@@ -90,6 +87,7 @@ from repro.db import (
     fd_violation_count,
     relation_statistics,
 )
+from repro.enclosure import Enclosure
 from repro.errors import (
     BudgetExceededError,
     CapacityError,
@@ -106,7 +104,6 @@ from repro.errors import (
 )
 from repro.dissociation import (
     CertifiedAnswer,
-    DissociationBounds,
     DissociationEvaluator,
     DissociationResult,
     TopKCertification,
@@ -115,7 +112,6 @@ from repro.dissociation import (
     network_dissociation_bounds,
 )
 from repro.resilience import (
-    AnswerResult,
     FaultPlan,
     FaultSpec,
     QueryBudget,
@@ -127,7 +123,6 @@ from repro.lineage import (
     DNF,
     EventVar,
     EventVarInterner,
-    Interval,
     OBDD,
     answer_lineages,
     approximate_probability,
@@ -205,7 +200,6 @@ __all__ = [
     "OBDD",
     "build_obdd",
     "obdd_probability",
-    "Interval",
     "approximate_probability",
     # performance infrastructure
     "CacheStats",
@@ -229,14 +223,11 @@ __all__ = [
     "PlanChoice",
     "choose_join_order",
     "optimized_plan",
-    # approximate inference & ranking
+    # approximate inference
     "partial_lineage_dnf",
     "forward_sample_marginal",
     "karp_luby_marginal",
     "hoeffding_samples",
-    "top_k_answers",
-    "TopKReport",
-    "RankedAnswer",
     "WhatIfAnalysis",
     "Sensitivity",
     "OffendingTuple",
@@ -262,8 +253,9 @@ __all__ = [
     "MetricsRegistry",
     "ExplainReport",
     "build_explain_report",
+    # the sound [lower, upper] record of every approximate answer
+    "Enclosure",
     # dissociation: extensional-speed enclosures and bounds-first top-k
-    "DissociationBounds",
     "DissociationResult",
     "DissociationEvaluator",
     "dissociation_bounds",
@@ -273,7 +265,6 @@ __all__ = [
     "certified_top_k",
     # resilience: budgets, degradation ladder, fault-tolerant pool
     "QueryBudget",
-    "AnswerResult",
     "resilient_marginals",
     "exact_fractions",
     "FaultSpec",

@@ -212,7 +212,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             rows = [
                 (
                     ", ".join(map(str, row)) or "()",
-                    round(a.probability, args.digits),
+                    round(a.midpoint, args.digits),
                     f"[{a.lower:.{args.digits}f}, {a.upper:.{args.digits}f}]",
                     a.method,
                 )

@@ -57,7 +57,6 @@ from repro.core.treeprop import (
     tree_marginals_array,
 )
 from repro.core.optimizer import PlanChoice, choose_join_order, optimized_plan
-from repro.core.topk import RankedAnswer, TopKReport, top_k_answers
 from repro.core.whatif import Sensitivity, WhatIfAnalysis
 from repro.core.executor import OffendingTuple
 from repro.core.explain import explain, network_to_dot, result_to_dot
@@ -94,9 +93,6 @@ __all__ = [
     "PlanChoice",
     "choose_join_order",
     "optimized_plan",
-    "top_k_answers",
-    "TopKReport",
-    "RankedAnswer",
     "WhatIfAnalysis",
     "Sensitivity",
     "OffendingTuple",

@@ -295,8 +295,8 @@ class EvaluationResult:
         :mod:`repro.resilience` — exact inference under (a fraction of) the
         *budget*'s deadline, then OBDD compilation, then sound
         Olteanu-Huang-Koch interval bounds, then Monte-Carlo with a
-        Hoeffding interval — and comes back as a
-        :class:`~repro.resilience.AnswerResult` carrying ``(lower, upper)``
+        Hoeffding interval — and comes back as an
+        :class:`~repro.enclosure.Enclosure` carrying ``(lower, upper)``
         bounds, the winning ladder rung, and the full degradation
         provenance. Exactly solved answers have ``exact=True`` and a
         zero-width enclosure; a hard component degrades only its own
@@ -311,7 +311,6 @@ class EvaluationResult:
         runs agree bit-for-bit.
         """
         from repro.resilience.execute import resilient_marginals
-        from repro.resilience.ladder import AnswerResult
 
         budget = budget if budget is not None else self.budget
         rows = list(self.relation.items())
@@ -330,10 +329,9 @@ class EvaluationResult:
                 registry=registry,
                 seed=seed,
             )
-        answers = {
-            row: AnswerResult.from_marginal(row, p, outcomes[l])
-            for row, l, p in rows
-        }
+        # The anonymous row event is independent of the network, so the
+        # answer's enclosure is the lineage's, scaled by the row probability.
+        answers = {row: outcomes[l].scaled(p) for row, l, p in rows}
         rungs: dict[str, int] = {}
         for a in answers.values():
             rungs[a.method] = rungs.get(a.method, 0) + 1

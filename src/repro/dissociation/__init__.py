@@ -22,7 +22,6 @@ Three consumers build on the bounds:
 """
 
 from repro.dissociation.engine import (
-    DissociationBounds,
     DissociationEvaluator,
     DissociationResult,
     dissociation_bounds,
@@ -31,7 +30,6 @@ from repro.dissociation.network import network_dissociation_bounds
 from repro.dissociation.topk import CertifiedAnswer, TopKCertification, certified_top_k
 
 __all__ = [
-    "DissociationBounds",
     "DissociationEvaluator",
     "DissociationResult",
     "dissociation_bounds",

@@ -54,39 +54,16 @@ from repro.core.plan import (
 )
 from repro.db.database import ProbabilisticDatabase
 from repro.db.schema import Row
+from repro.enclosure import Enclosure
 from repro.errors import PlanError
 from repro.obs.trace import span as _span
 from repro.query.syntax import ConjunctiveQuery, Constant
 
 __all__ = [
-    "DissociationBounds",
     "DissociationResult",
     "DissociationEvaluator",
     "dissociation_bounds",
 ]
-
-
-@dataclass(frozen=True)
-class DissociationBounds:
-    """A sound ``[lower, upper]`` enclosure of one answer's probability."""
-
-    lower: float
-    upper: float
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> float:
-        return (self.lower + self.upper) / 2.0
-
-    def contains(self, value: float, tolerance: float = 1e-9) -> bool:
-        """Is *value* inside the enclosure (up to float noise)?"""
-        return self.lower - tolerance <= value <= self.upper + tolerance
-
-    def as_dict(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper, "width": self.width}
 
 
 @dataclass
@@ -99,7 +76,7 @@ class DissociationResult:
     """
 
     attributes: tuple[str, ...]
-    bounds: dict[Row, DissociationBounds]
+    bounds: dict[Row, Enclosure]
     seconds: float
     dissociated: int
 
@@ -112,10 +89,11 @@ class DissociationResult:
     def max_width(self) -> float:
         return max((b.width for b in self.bounds.values()), default=0.0)
 
-    def interval(self, row: Row) -> DissociationBounds:
+    def interval(self, row: Row) -> Enclosure:
         """The enclosure of *row* (``[0, 1]`` for rows never produced)."""
-        hit = self.bounds.get(row)
-        return hit if hit is not None else DissociationBounds(0.0, 1.0)
+        return self.bounds.get(row) or Enclosure(
+            0.0, 1.0, "dissociation", False
+        )
 
     def as_dict(self, limit: int | None = None) -> dict:
         rows = sorted(
@@ -131,7 +109,9 @@ class DissociationResult:
             "max_width": self.max_width,
             "seconds": self.seconds,
             "bounds": [
-                {"row": list(row), **b.as_dict()} for row, b in rows
+                {"row": list(row), "lower": b.lower, "upper": b.upper,
+                 "width": b.width}
+                for row, b in rows
             ],
         }
 
@@ -252,13 +232,14 @@ class DissociationEvaluator:
                 bounds = {}
                 for i in range(len(rel)):
                     row = tuple(values[i * k : (i + 1) * k])
-                    lo = float(min(rel.lo[i], rel.up[i]))
-                    bounds[row] = DissociationBounds(lo, float(rel.up[i]))
+                    bounds[row] = Enclosure.clamped(
+                        rel.lo[i], rel.up[i], "dissociation"
+                    )
                 attrs = rel.attributes
             else:
                 attrs, rows = self._eval_rows(plan)
                 bounds = {
-                    row: DissociationBounds(min(lo, up), up)
+                    row: Enclosure.clamped(lo, up, "dissociation")
                     for row, (up, lo) in rows.items()
                 }
             sp.add("answers", len(bounds))

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.network import EPSILON, AndOrNetwork, NodeKind
+from repro.enclosure import Enclosure
 
 __all__ = ["NetworkDissociation", "network_dissociation_bounds"]
 
@@ -40,8 +41,8 @@ __all__ = ["NetworkDissociation", "network_dissociation_bounds"]
 class NetworkDissociation:
     """Sound per-target enclosures from one pair of dissociated folds."""
 
-    #: ``{node id: (lower, upper)}`` for every requested target.
-    bounds: dict[int, tuple[float, float]]
+    #: ``{node id: enclosure}`` for every requested target.
+    bounds: dict[int, Enclosure]
     #: Number of shared (multi-referenced, uncertain) nodes dissociated.
     shared: int
 
@@ -49,10 +50,6 @@ class NetworkDissociation:
     def exact(self) -> bool:
         """True when nothing was shared: the folds are the exact marginals."""
         return self.shared == 0
-
-    def width(self, target: int) -> float:
-        lo, up = self.bounds[target]
-        return up - lo
 
 
 def network_dissociation_bounds(
@@ -145,12 +142,12 @@ def network_dissociation_bounds(
         else:
             use[v] = lo[v]
 
-    bounds = {}
-    for t in targets:
-        tup = max(0.0, min(1.0, up[t]))
-        tlo = max(0.0, min(lo[t], tup))
-        bounds[t] = (tlo, tup)
-    return NetworkDissociation(bounds=bounds, shared=len(shared_bit))
+    return NetworkDissociation(
+        bounds={
+            t: Enclosure.clamped(lo[t], up[t], "dissociation") for t in targets
+        },
+        shared=len(shared_bit),
+    )
 
 
 def _expm1_div(p: float, r: int) -> float:

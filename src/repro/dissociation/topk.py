@@ -17,16 +17,12 @@ Soundness of the short-circuit: a skipped answer ``a`` has
 and sorted by the same total order as exact-all evaluation, so the
 returned top k is *identical* (set and order) to ranking every answer
 exactly — the skipped work is pure savings.
-
-Distinct from :mod:`repro.core.topk`, the sampling-based multisimulation
-ranker: that one trades exactness for anytime behaviour; this one is exact
-by construction and uses the dissociation bounds only to prune.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.executor import EvaluationResult
 from repro.db.schema import Row
@@ -79,7 +75,6 @@ class TopKCertification:
     #: only if the caller charges it; see ``bounds_seconds`` of the result).
     refine_seconds: float = 0.0
     bounds_seconds: float = 0.0
-    steps: list = field(default_factory=list)
 
     @property
     def k(self) -> int:

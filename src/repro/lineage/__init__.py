@@ -31,7 +31,7 @@ from repro.lineage.dnf import (
 )
 from repro.lineage.exact import dnf_probability
 from repro.lineage.readonce import read_once_tree, read_once_probability
-from repro.lineage.approx_bounds import Interval, approximate_probability
+from repro.lineage.approx_bounds import approximate_probability
 from repro.lineage.events import (
     conditional_probability,
     conjoin,
@@ -58,7 +58,6 @@ __all__ = [
     "build_obdd",
     "default_variable_order",
     "obdd_probability",
-    "Interval",
     "approximate_probability",
     "disjoin",
     "conjoin",

@@ -23,9 +23,9 @@ lies inside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
+from repro.enclosure import Enclosure
 from repro.errors import DeadlineExceededError
 from repro.lineage.dnf import DNF, EventVar
 from repro.lineage.masks import (
@@ -40,28 +40,8 @@ from repro.lineage.masks import (
 )
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A sound enclosure of a probability."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if not -1e-12 <= self.low <= self.high <= 1.0 + 1e-12:
-            raise ValueError(f"invalid interval [{self.low}, {self.high}]")
-
-    @property
-    def width(self) -> float:
-        return self.high - self.low
-
-    @property
-    def midpoint(self) -> float:
-        return (self.low + self.high) / 2.0
-
-    def contains(self, value: float, tolerance: float = 1e-9) -> bool:
-        """Is *value* inside the interval (up to float noise)?"""
-        return self.low - tolerance <= value <= self.high + tolerance
+def _bounds(lower: float, upper: float) -> Enclosure:
+    return Enclosure(lower, upper, "bounds", False)
 
 
 class _Approximator:
@@ -75,16 +55,16 @@ class _Approximator:
         self.budget = budget
         self.truncated = False
 
-    def frontier(self, formula: Formula) -> Interval:
+    def frontier(self, formula: Formula) -> Enclosure:
         """Cheap sound bounds without expansion."""
         weights = [weight(c, self.probs) for c in formula]
-        return Interval(max(weights), min(1.0, sum(weights)))
+        return _bounds(max(weights), min(1.0, sum(weights)))
 
-    def bounds(self, formula: Formula, epsilon: float) -> Interval:
+    def bounds(self, formula: Formula, epsilon: float) -> Enclosure:
         if not formula:
-            return Interval(0.0, 0.0)
+            return _bounds(0.0, 0.0)
         if 0 in formula:
-            return Interval(1.0, 1.0)
+            return _bounds(1.0, 1.0)
         self.calls += 1
         if (
             self.budget is not None
@@ -111,32 +91,32 @@ class _Approximator:
             fail_high = fail_low = 1.0
             for g in groups:
                 sub = self._factored(g, share)
-                fail_high *= 1.0 - sub.low
-                fail_low *= 1.0 - sub.high
-            return Interval(1.0 - fail_high, 1.0 - fail_low)
+                fail_high *= 1.0 - sub.lower
+                fail_low *= 1.0 - sub.upper
+            return _bounds(1.0 - fail_high, 1.0 - fail_low)
         return self._factored(formula, epsilon)
 
-    def _factored(self, formula: Formula, epsilon: float) -> Interval:
+    def _factored(self, formula: Formula, epsilon: float) -> Enclosure:
         shared = common(formula)
         if not shared:
             return self._shannon(formula, epsilon)
         w = weight(shared, self.probs)
         rest = frozenset([c ^ shared for c in formula])
         if 0 in rest:
-            return Interval(w, w)
+            return _bounds(w, w)
         # widening epsilon by /w keeps the scaled width within budget
         inner = self.bounds(rest, min(1.0, epsilon / max(w, 1e-12)))
-        return Interval(w * inner.low, w * inner.high)
+        return _bounds(w * inner.lower, w * inner.upper)
 
-    def _shannon(self, formula: Formula, epsilon: float) -> Interval:
+    def _shannon(self, formula: Formula, epsilon: float) -> Enclosure:
         bit = branch_bit(formula)
         p = self.probs[bit.bit_length() - 1]
         positive, negative = cofactors(formula, bit)
         pos = self.bounds(positive, epsilon)
         neg = self.bounds(negative, epsilon)
-        return Interval(
-            p * pos.low + (1.0 - p) * neg.low,
-            p * pos.high + (1.0 - p) * neg.high,
+        return _bounds(
+            p * pos.lower + (1.0 - p) * neg.lower,
+            p * pos.upper + (1.0 - p) * neg.upper,
         )
 
 
@@ -147,7 +127,7 @@ def approximate_probability(
     max_calls: int = 200_000,
     *,
     budget=None,
-) -> Interval:
+) -> Enclosure:
     """A sound interval of width ≤ *epsilon* around ``Pr(dnf)`` — or the best
     interval reachable within *max_calls* expansion steps.
 
@@ -168,9 +148,9 @@ def approximate_probability(
     True
     """
     if dnf.is_true:
-        return Interval(1.0, 1.0)
+        return _bounds(1.0, 1.0)
     if dnf.is_false:
-        return Interval(0.0, 0.0)
+        return _bounds(0.0, 0.0)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     variables = sorted(dnf.variables())

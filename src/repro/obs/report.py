@@ -506,10 +506,7 @@ def build_explain_report(
                     sum(widths) / len(widths) if widths else 0.0
                 ),
                 "bounds": sorted(
-                    (
-                        {"row": list(row), **b.as_dict()}
-                        for row, b in bounds.bounds.items()
-                    ),
+                    bounds.as_dict()["bounds"],
                     key=lambda r: (-r["width"], r["row"]),
                 )[:10],
             }

@@ -11,9 +11,9 @@ serial requeue; and :mod:`~repro.resilience.faults` injects all of those
 failures deterministically for the chaos test suite.
 
 Entry points: :meth:`repro.core.executor.EvaluationResult
-.resilient_answer_probabilities` (per-answer :class:`AnswerResult`
-enclosures), :func:`resilient_marginals` (node-level), and the CLI's
-``repro query --deadline/--degrade``.
+.resilient_answer_probabilities` (per-answer
+:class:`~repro.enclosure.Enclosure` records), :func:`resilient_marginals`
+(node-level), and the CLI's ``repro query --deadline/--degrade``.
 
 Submodules import lazily so the core engines can depend on
 :mod:`repro.resilience.pool`/``budget`` without cycles.
@@ -24,8 +24,6 @@ from __future__ import annotations
 __all__ = [
     "QueryBudget",
     "UNLIMITED",
-    "AnswerResult",
-    "MarginalOutcome",
     "DegradationStep",
     "LADDER_RUNGS",
     "resilient_component_marginals",
@@ -40,8 +38,6 @@ __all__ = [
 _HOMES = {
     "QueryBudget": "repro.resilience.budget",
     "UNLIMITED": "repro.resilience.budget",
-    "AnswerResult": "repro.resilience.ladder",
-    "MarginalOutcome": "repro.resilience.ladder",
     "DegradationStep": "repro.resilience.ladder",
     "LADDER_RUNGS": "repro.resilience.ladder",
     "resilient_component_marginals": "repro.resilience.ladder",

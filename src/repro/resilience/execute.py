@@ -22,11 +22,12 @@ import random
 from dataclasses import dataclass
 
 from repro.core.network import AndOrNetwork
+from repro.enclosure import Enclosure
 from repro.perf.cache import SubformulaCache
 from repro.perf.parallel import _fan_out
 from repro.resilience.budget import QueryBudget
 from repro.resilience.faults import FaultPlan
-from repro.resilience.ladder import MarginalOutcome, resilient_component_marginals
+from repro.resilience.ladder import resilient_component_marginals
 
 __all__ = ["exact_fractions", "resilient_marginals"]
 
@@ -80,24 +81,19 @@ class _LadderSolver:
         )
 
     @staticmethod
-    def epsilon() -> MarginalOutcome:
-        return MarginalOutcome(1.0, 1.0, "exact", True)
+    def epsilon() -> Enclosure:
+        return Enclosure(1.0, 1.0, "exact", True)
 
     @staticmethod
-    def sound(outcome: MarginalOutcome) -> bool:
-        """Enclosures must be finite sound intervals (the NaN-poisoning
-        chaos scenario: corruption must retry, not merge)."""
-        return (
-            math.isfinite(outcome.lower)
-            and math.isfinite(outcome.upper)
-            and outcome.lower <= outcome.upper
-        )
+    def sound(outcome) -> bool:
+        """Only an :class:`~repro.enclosure.Enclosure` merges (the
+        NaN-poisoning chaos scenario: corruption must retry, not merge).
+        One cannot hold NaN, so :meth:`poison` returns a bare NaN."""
+        return isinstance(outcome, Enclosure)
 
     @staticmethod
-    def poison(outcome: MarginalOutcome) -> MarginalOutcome:
-        return MarginalOutcome(
-            math.nan, math.nan, outcome.method, outcome.exact, outcome.steps
-        )
+    def poison(_outcome) -> float:
+        return math.nan
 
 
 def resilient_marginals(
@@ -113,7 +109,7 @@ def resilient_marginals(
     fault_plan: FaultPlan | None = None,
     registry=None,
     seed: int = 0,
-) -> dict[int, MarginalOutcome]:
+) -> dict[int, Enclosure]:
     """Sound marginal enclosures of *nodes*, degradation- and fault-tolerant.
 
     Serial (``workers`` unset or < 2, or a single component): every

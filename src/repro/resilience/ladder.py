@@ -31,29 +31,28 @@ a sound enclosure of its probability:
 
 Each attempt is recorded as a :class:`DegradationStep` (rung, outcome,
 reason, seconds), so a degraded answer carries its full provenance; the
-:class:`MarginalOutcome`/:class:`AnswerResult` objects expose
-``(lower, upper)``, the winning rung, and whether the value is exact.
-Every rung transition emits :mod:`repro.obs` metrics and spans.
+:class:`~repro.enclosure.Enclosure` it returns exposes ``(lower, upper)``,
+the winning rung, and whether the value is exact. Every rung transition
+emits :mod:`repro.obs` metrics and spans.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from time import perf_counter
 
 from repro.core.network import EPSILON, AndOrNetwork
 from repro.dissociation.network import network_dissociation_bounds
+from repro.enclosure import Enclosure
 from repro.errors import BudgetExceededError, CapacityError, InferenceError
-from repro.lineage.approx_bounds import Interval, approximate_probability
+from repro.lineage.approx_bounds import approximate_probability
 from repro.obs.trace import span as _span
 from repro.resilience.budget import QueryBudget
 
 __all__ = [
     "DegradationStep",
-    "MarginalOutcome",
-    "AnswerResult",
     "resilient_component_marginals",
     "LADDER_RUNGS",
     "SAMPLING_DELTA",
@@ -87,119 +86,6 @@ class DegradationStep:
     reason: str
     seconds: float
 
-    def as_dict(self) -> dict:
-        return {
-            "rung": self.rung,
-            "outcome": self.outcome,
-            "reason": self.reason,
-            "seconds": self.seconds,
-        }
-
-
-@dataclass
-class MarginalOutcome:
-    """A sound enclosure of one node's marginal, with its provenance."""
-
-    lower: float
-    upper: float
-    #: The ladder rung that produced the enclosure.
-    method: str
-    #: True when ``lower == upper`` came from an exact rung.
-    exact: bool
-    steps: list[DegradationStep] = field(default_factory=list)
-
-    @property
-    def degraded(self) -> bool:
-        """True when the first rung (plain exact inference) did not win.
-
-        Note an OBDD fallback is degraded yet still ``exact``: the ladder
-        moved past rung 1, but the value it produced is not approximate.
-        """
-        return self.method != "exact"
-
-    @property
-    def midpoint(self) -> float:
-        return (self.lower + self.upper) / 2.0
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    def as_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "method": self.method,
-            "exact": self.exact,
-            "degraded": self.degraded,
-            "steps": [s.as_dict() for s in self.steps],
-        }
-
-
-@dataclass
-class AnswerResult:
-    """One answer tuple's probability enclosure (the resilient API's unit).
-
-    ``probability`` is the best point estimate — the exact value when
-    ``exact``, the interval midpoint otherwise; ``(lower, upper)`` always
-    soundly encloses the true answer probability (up to the sampling rung's
-    ``1 - δ`` confidence)."""
-
-    row: tuple
-    lower: float
-    upper: float
-    method: str
-    exact: bool
-    steps: list[DegradationStep] = field(default_factory=list)
-
-    @property
-    def probability(self) -> float:
-        return (self.lower + self.upper) / 2.0
-
-    @property
-    def degraded(self) -> bool:
-        """True when a fallback rung (not plain exact inference) answered."""
-        return self.method != "exact"
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    def contains(self, value: float, tolerance: float = 1e-9) -> bool:
-        """Is *value* inside the enclosure (up to float noise)?"""
-        return self.lower - tolerance <= value <= self.upper + tolerance
-
-    def as_dict(self) -> dict:
-        return {
-            "row": list(self.row),
-            "probability": self.probability,
-            "lower": self.lower,
-            "upper": self.upper,
-            "method": self.method,
-            "exact": self.exact,
-            "degraded": self.degraded,
-            "steps": [s.as_dict() for s in self.steps],
-        }
-
-    @classmethod
-    def from_marginal(
-        cls, row: tuple, row_probability: float, outcome: MarginalOutcome
-    ) -> "AnswerResult":
-        """Scale a lineage-node enclosure by the row's own probability.
-
-        The anonymous row event is independent of the network, so the
-        answer probability is ``row_probability · Pr(lineage)`` and the
-        enclosure scales linearly.
-        """
-        return cls(
-            row=row,
-            lower=row_probability * outcome.lower,
-            upper=row_probability * outcome.upper,
-            method=outcome.method,
-            exact=outcome.exact,
-            steps=outcome.steps,
-        )
-
 
 def _step(steps, registry, rung, outcome, reason, started) -> None:
     steps.append(DegradationStep(rung, outcome, reason, perf_counter() - started))
@@ -221,7 +107,7 @@ def resilient_component_marginals(
     narrow: bool | None = None,
     exact_fraction: float = 0.5,
     est_cost: float | None = None,
-) -> dict[int, MarginalOutcome]:
+) -> dict[int, Enclosure]:
     """Ladder solve of one component slice: never raises on hard instances.
 
     Tries the exact engines on the whole component first (one solve shared
@@ -241,7 +127,7 @@ def resilient_component_marginals(
 
     budget = (budget or QueryBudget()).start()
     rng = rng or random.Random(0)
-    out: dict[int, MarginalOutcome] = {}
+    out: dict[int, Enclosure] = {}
     with _span("ladder", nodes=len(subnet), targets=len(targets)) as sp:
         # Rung 1 — exact, on a slice of the remaining deadline.
         steps: list[DegradationStep] = []
@@ -274,16 +160,17 @@ def resilient_component_marginals(
                 sp.annotate(exact="failed")
             else:
                 _step(steps, registry, "exact", "ok", "", started)
+                shared = tuple(steps)
                 for t in targets:
-                    out[t] = MarginalOutcome(
-                        solved[t], solved[t], "exact", True, steps
+                    out[t] = Enclosure(
+                        solved[t], solved[t], "exact", True, shared
                     )
                 return out
 
         # Rung 2 — dissociation: two linear-time folds bound the whole
         # component at once; a within-tolerance enclosure wins outright,
         # a wider one rides along as a prior for the lower rungs.
-        priors: dict[int, tuple[float, float]] = {}
+        priors: dict[int, Enclosure] = {}
         started = perf_counter()
         dissoc = network_dissociation_bounds(
             subnet, [t for t in targets if t != EPSILON]
@@ -304,17 +191,16 @@ def resilient_component_marginals(
         degraded = 0
         for t in targets:
             if t == EPSILON:
-                out[t] = MarginalOutcome(1.0, 1.0, "exact", True, list(steps))
+                out[t] = Enclosure(1.0, 1.0, "exact", True, tuple(steps))
                 continue
             prior = priors.get(t)
             if prior is not None:
-                lo, up = prior
                 if registry is not None:
-                    registry.observe("resilience.dissociation.width", up - lo)
-                if up - lo <= budget.approx_epsilon:
-                    out[t] = MarginalOutcome(
-                        lo, up, "dissociation", lo == up, list(steps)
+                    registry.observe(
+                        "resilience.dissociation.width", prior.width
                     )
+                if prior.width <= budget.approx_epsilon:
+                    out[t] = replace(prior, steps=tuple(steps))
                     degraded += 1
                     continue
             out[t] = _degrade_target(
@@ -329,18 +215,14 @@ def resilient_component_marginals(
 
 def _degrade_target(
     subnet, target, budget, steps, rng, registry,
-    prior: tuple[float, float] | None = None,
-) -> MarginalOutcome:
+    prior: Enclosure | None = None,
+) -> Enclosure:
     """Rungs 3-5 for one target whose exact and dissociation rungs failed.
 
     *prior* is the target's dissociation enclosure when one exists; every
     lower rung's interval intersects with it (both are sound, so the
     intersection is too).
     """
-    if target == EPSILON:
-        return MarginalOutcome(1.0, 1.0, "exact", True, steps)
-    pr = Interval(prior[0], prior[1]) if prior is not None else None
-
     dnf = probs = None
     started = perf_counter()
     try:
@@ -351,7 +233,7 @@ def _degrade_target(
         _step(steps, registry, "obdd", "skipped", _reason(exc), started)
         _step(steps, registry, "bounds", "skipped", "no DNF", started)
         return _sampling_rung(subnet, target, None, None, budget, steps, rng,
-                              registry, prior=pr)
+                              registry, prior=prior)
 
     # Rung 3 — OBDD: still exact, materialised Shannon expansion.
     started = perf_counter()
@@ -366,7 +248,7 @@ def _degrade_target(
         _step(steps, registry, "obdd", "failed", _reason(exc), started)
     else:
         _step(steps, registry, "obdd", "ok", "", started)
-        return MarginalOutcome(p, p, "obdd", True, steps)
+        return Enclosure(p, p, "obdd", True, tuple(steps))
 
     # Rung 4 — sound interval bounds by truncated evaluation.
     started = perf_counter()
@@ -382,11 +264,9 @@ def _degrade_target(
         _step(steps, registry, "bounds", "failed", _reason(exc), started)
     else:
         _step(steps, registry, "bounds", "ok", "", started)
-        iv = _intersect(iv, pr)
+        iv = iv.intersect(prior)
         if iv.width <= budget.approx_epsilon:
-            return MarginalOutcome(
-                iv.low, iv.high, "bounds", False, steps
-            )
+            return replace(iv, steps=tuple(steps))
         # Interval too loose for the caller's tolerance: let sampling try
         # to do better, but keep this sound interval to intersect with.
         return _sampling_rung(
@@ -394,32 +274,21 @@ def _degrade_target(
             prior=iv,
         )
     return _sampling_rung(subnet, target, dnf, probs, budget, steps, rng,
-                          registry, prior=pr)
-
-
-def _intersect(iv: Interval, prior: Interval | None) -> Interval:
-    """Intersect two sound enclosures; on float-noise crossing keep the
-    narrower one."""
-    if prior is None:
-        return iv
-    low, high = max(iv.low, prior.low), min(iv.high, prior.high)
-    if low <= high:
-        return Interval(low, high)
-    return prior if prior.width < iv.width else iv
+                          registry, prior=prior)
 
 
 def _sampling_rung(
     subnet, target, dnf, probs, budget, steps, rng, registry,
-    prior: Interval | None = None,
-) -> MarginalOutcome:
-    """Rung 4 — Monte-Carlo with a Hoeffding confidence interval.
+    prior: Enclosure | None = None,
+) -> Enclosure:
+    """Rung 5 — Monte-Carlo with a Hoeffding confidence interval.
 
     Karp-Luby on the DNF when it compiled (relative-error behaviour,
     better for small probabilities — the estimator is ``S · mean`` of a
     Bernoulli, so Hoeffding scales by the union weight ``S``); forward
     sampling on the sub-network otherwise. Never fails: the floor is a
     small sample count even with the deadline already blown, and the
-    result is intersected with any sound *prior* interval from rung 3.
+    result is intersected with any sound *prior* interval from rung 2 or 4.
     """
     samples = max(64, budget.max_samples)
     half_log = math.log(2.0 / SAMPLING_DELTA) / 2.0
@@ -440,12 +309,9 @@ def _sampling_rung(
         est = forward_sample_marginal(subnet, target, samples, rng)
         eps = math.sqrt(half_log / samples)
         method = "forward"
-    low, high = max(0.0, est - eps), min(1.0, est + eps)
-    if prior is not None:
-        # Both enclosures hold (the prior surely, ours with 1-δ), so their
-        # intersection does too; guard against an empty float intersection.
-        low, high = max(low, prior.low), min(high, prior.high)
-        if low > high:
-            low, high = prior.low, prior.high
     _step(steps, registry, method, "ok", f"{samples} samples", started)
-    return MarginalOutcome(low, high, method, False, steps)
+    # Both enclosures hold (the prior surely, ours with 1-δ), so their
+    # intersection does too.
+    return Enclosure.clamped(
+        est - eps, est + eps, method, False, tuple(steps)
+    ).intersect(prior)

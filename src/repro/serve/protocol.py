@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 
+from repro.enclosure import Enclosure
 from repro.errors import (
     AdmissionError,
     BudgetExceededError,
@@ -151,33 +152,16 @@ def row_from_wire(row) -> tuple:
 
 
 def answers_payload(answers: dict) -> list[dict]:
-    """Uniform JSON shape for the three answer families.
+    """Uniform JSON shape for every answer family.
 
-    *answers* maps rows to one of: a float (exact inference), an
-    :class:`~repro.resilience.ladder.AnswerResult` (degradation ladder), or
-    a :class:`~repro.dissociation.DissociationBounds` (extensional-speed
-    shed rung). Every entry carries a sound enclosure; exact answers have
-    ``lower == upper == probability``.
+    *answers* maps rows to a float (exact inference) or an
+    :class:`~repro.enclosure.Enclosure` (degradation ladder, or the
+    extensional-speed dissociation rung). Every entry carries a sound
+    enclosure; exact answers have ``lower == upper == probability``.
     """
     payload = []
     for row, value in sorted(answers.items(), key=lambda kv: repr(kv[0])):
         if isinstance(value, float):
-            entry = {
-                "row": list(row), "probability": value,
-                "lower": value, "upper": value,
-                "method": "exact", "exact": True,
-            }
-        elif hasattr(value, "method"):  # AnswerResult
-            entry = {
-                "row": list(row), "probability": value.probability,
-                "lower": value.lower, "upper": value.upper,
-                "method": value.method, "exact": value.exact,
-            }
-        else:  # DissociationBounds
-            entry = {
-                "row": list(row), "probability": value.midpoint,
-                "lower": value.lower, "upper": value.upper,
-                "method": "dissociation", "exact": value.width == 0.0,
-            }
-        payload.append(entry)
+            value = Enclosure(value, value, "exact", True)
+        payload.append({"row": list(row), **value.as_dict()})
     return payload

@@ -30,7 +30,8 @@ from repro.core.plan import (
 )
 from repro.core.plrelation import PLRelation
 from repro.db.database import ProbabilisticDatabase
-from repro.dissociation.engine import DissociationBounds, DissociationResult
+from repro.dissociation.engine import DissociationResult
+from repro.enclosure import Enclosure
 from repro.errors import InferenceError, PlanError
 from repro.obs import telemetry
 from repro.obs.trace import add as _add
@@ -463,12 +464,10 @@ class SQLitePartialLineageEvaluator:
             table, attrs = self._bounds_eval(plan)
             sel = (_cols(attrs) + ", pup, plo") if attrs else "pup, plo"
             rows = self._conn.execute(f"SELECT {sel} FROM {_q(table)}").fetchall()
-        bounds: dict[tuple, DissociationBounds] = {}
-        for row in rows:
-            *values, pup, plo = row
-            up = min(max(float(pup), 0.0), 1.0)
-            lo = min(max(float(plo), 0.0), up)
-            bounds[tuple(values)] = DissociationBounds(lo, up)
+        bounds = {
+            tuple(values): Enclosure.clamped(plo, pup, "dissociation")
+            for *values, pup, plo in rows
+        }
         result = DissociationResult(
             attributes=attrs,
             bounds=bounds,

@@ -5,11 +5,8 @@ import pytest
 from repro.core.executor import PartialLineageEvaluator
 from repro.core.plan import left_deep_plan
 from repro.db import ProbabilisticDatabase, brute_force_answer_probabilities
-from repro.dissociation import (
-    DissociationBounds,
-    DissociationEvaluator,
-    dissociation_bounds,
-)
+from repro.dissociation import DissociationEvaluator, dissociation_bounds
+from repro.enclosure import Enclosure
 from repro.errors import PlanError
 from repro.query.grounding import answers_in_world
 from repro.query.parser import parse_query
@@ -28,7 +25,7 @@ def answer_oracle(query, db):
 
 class TestBounds:
     def test_interval_arithmetic(self):
-        b = DissociationBounds(0.2, 0.6)
+        b = Enclosure(0.2, 0.6, "dissociation", False)
         assert b.width == pytest.approx(0.4)
         assert b.midpoint == pytest.approx(0.4)
         assert b.contains(0.2) and b.contains(0.6)
@@ -41,7 +38,8 @@ class TestBounds:
         res = DissociationEvaluator(db).evaluate_query(
             parse_query("q(x) :- R(x)")
         )
-        assert res.interval((99,)) == DissociationBounds(0.0, 1.0)
+        unknown = Enclosure(0.0, 1.0, "dissociation", False)
+        assert res.interval((99,)) == unknown
 
 
 class TestSoundness:

@@ -21,7 +21,7 @@ def test_tree_component_is_exact():
     dissoc = network_dissociation_bounds(net, [root])
     assert dissoc is not None and dissoc.exact and dissoc.shared == 0
     oracle = compute_marginals(net, [root])[root]
-    lo, up = dissoc.bounds[root]
+    lo, up = dissoc.bounds[root].lower, dissoc.bounds[root].upper
     assert lo == pytest.approx(oracle, abs=1e-12)
     assert up == pytest.approx(oracle, abs=1e-12)
 
@@ -38,9 +38,9 @@ def test_or_context_sharing_encloses_exact():
     dissoc = network_dissociation_bounds(net, [root])
     assert dissoc is not None and dissoc.shared == 1
     oracle = compute_marginals(net, [root])[root]
-    lo, up = dissoc.bounds[root]
+    lo, up = dissoc.bounds[root].lower, dissoc.bounds[root].upper
     assert lo - 1e-12 <= oracle <= up + 1e-12
-    assert dissoc.width(root) > 0.0
+    assert dissoc.bounds[root].width > 0.0
 
 
 def test_conjunctive_sharing_returns_none():
@@ -69,7 +69,7 @@ def test_deterministic_shared_node_is_harmless():
     dissoc = network_dissociation_bounds(net, [root])
     assert dissoc is not None and dissoc.shared == 0
     oracle = compute_marginals(net, [root])[root]
-    lo, up = dissoc.bounds[root]
+    lo, up = dissoc.bounds[root].lower, dissoc.bounds[root].upper
     assert lo == pytest.approx(oracle, abs=1e-12)
     assert up == pytest.approx(oracle, abs=1e-12)
 
@@ -93,5 +93,5 @@ def test_pl_networks_always_fold(rng):
         assert dissoc is not None
         oracle = compute_marginals(result.network, targets)
         for t in targets:
-            lo, up = dissoc.bounds[t]
+            lo, up = dissoc.bounds[t].lower, dissoc.bounds[t].upper
             assert lo - 1e-9 <= oracle[t] <= up + 1e-9

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.lineage.approx_bounds import Interval, approximate_probability
+from repro.enclosure import Enclosure
+from repro.lineage.approx_bounds import approximate_probability
 from repro.lineage.dnf import DNF, EventVar
 from repro.lineage.exact import dnf_probability
 
@@ -16,20 +17,20 @@ def v(i: int) -> EventVar:
 
 
 def test_interval_validation():
-    Interval(0.2, 0.4)
+    iv = Enclosure(0.2, 0.4, "bounds", False)
     with pytest.raises(ValueError):
-        Interval(0.5, 0.4)
+        Enclosure(0.5, 0.4, "bounds", False)
     with pytest.raises(ValueError):
-        Interval(-0.2, 0.4)
-    assert Interval(0.2, 0.4).width == pytest.approx(0.2)
-    assert Interval(0.2, 0.4).midpoint == pytest.approx(0.3)
-    assert Interval(0.2, 0.4).contains(0.3)
-    assert not Interval(0.2, 0.4).contains(0.5)
+        Enclosure(-0.2, 0.4, "bounds", False)
+    assert iv.width == pytest.approx(0.2)
+    assert iv.midpoint == pytest.approx(0.3)
+    assert iv.contains(0.3)
+    assert not iv.contains(0.5)
 
 
 def test_constants():
-    assert approximate_probability(DNF(), {}).high == 0.0
-    assert approximate_probability(DNF([frozenset()]), {}).low == 1.0
+    assert approximate_probability(DNF(), {}).upper == 0.0
+    assert approximate_probability(DNF([frozenset()]), {}).lower == 1.0
 
 
 def test_triangle_converges():
@@ -81,7 +82,7 @@ def test_cheap_bounds_when_budget_exhausted():
     iv = approximate_probability(f, probs, epsilon=1e-6, max_calls=1)
     exact = dnf_probability(f, probs)
     assert iv.contains(exact)
-    assert iv.low >= 0.3 * 0.3 - 1e-9  # at least the best single clause
+    assert iv.lower >= 0.3 * 0.3 - 1e-9  # at least the best single clause
 
 
 def test_component_combination_orientation_regression():
@@ -98,7 +99,7 @@ def test_component_combination_orientation_regression():
     exact = dnf_probability(f, probs)
     for max_calls in (1, 2, 3, 5, 100):
         iv = approximate_probability(f, probs, epsilon=1e-9, max_calls=max_calls)
-        assert iv.low <= iv.high
+        assert iv.lower <= iv.upper
         assert iv.contains(exact), max_calls
 
 
@@ -115,7 +116,7 @@ def test_expired_budget_truncates_instead_of_raising():
     iv = approximate_probability(
         f, probs, epsilon=1e-9, max_calls=10**9, budget=budget
     )
-    assert iv.low <= iv.high
+    assert iv.lower <= iv.upper
     assert iv.contains(dnf_probability(f, probs))
     # same instance, no deadline: the interval tightens to epsilon
     tight = approximate_probability(f, probs, epsilon=1e-9, max_calls=10**9)

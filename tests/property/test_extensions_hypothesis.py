@@ -52,7 +52,7 @@ def test_interval_bounds_always_sound(pair, epsilon, max_calls):
     f, probs = pair
     exact = dnf_probability(f, probs)
     iv = approximate_probability(f, probs, epsilon=epsilon, max_calls=max_calls)
-    assert iv.low <= iv.high
+    assert iv.lower <= iv.upper
     assert iv.contains(exact)
 
 

@@ -180,8 +180,7 @@ class TestExecutorIntegration:
         assert set(resilient) == set(exact)
         for row, answer in resilient.items():
             assert answer.exact
-            assert answer.row == row
-            assert answer.probability == pytest.approx(exact[row], abs=1e-12)
+            assert answer.midpoint == pytest.approx(exact[row], abs=1e-12)
 
     def test_degraded_answers_enclose_exact_answers(self, db):
         result = PartialLineageEvaluator(db).evaluate_query(

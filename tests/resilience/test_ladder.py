@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from repro.core.inference import compute_marginals
 from repro.core.network import EPSILON, AndOrNetwork, NodeKind
+from repro.enclosure import Enclosure
 from repro.resilience.budget import QueryBudget
 from repro.resilience.ladder import (
     LADDER_RUNGS,
-    AnswerResult,
-    MarginalOutcome,
+    DegradationStep,
     resilient_component_marginals,
 )
 
@@ -156,23 +156,27 @@ class TestFallbackRungs:
 
 
 class TestAnswerResult:
+    """An answer's enclosure is its lineage node's, scaled by the row's
+    own probability."""
+
     def test_from_marginal_scales_the_enclosure(self):
-        outcome = MarginalOutcome(0.2, 0.4, "bounds", False)
-        answer = AnswerResult.from_marginal((1, "x"), 0.5, outcome)
+        steps = (DegradationStep("exact", "failed", "", 0.0),)
+        outcome = Enclosure(0.2, 0.4, "bounds", False, steps)
+        answer = outcome.scaled(0.5)
         assert answer.lower == pytest.approx(0.1)
         assert answer.upper == pytest.approx(0.2)
-        assert answer.probability == pytest.approx(0.15)
+        assert answer.midpoint == pytest.approx(0.15)
         assert answer.width == pytest.approx(0.1)
         assert answer.degraded and not answer.exact
         assert answer.contains(0.12) and not answer.contains(0.3)
+        assert answer.steps is steps
         d = answer.as_dict()
-        assert d["row"] == [1, "x"] and d["method"] == "bounds"
+        assert d["method"] == "bounds" and d["probability"] == answer.midpoint
 
     def test_exact_marginal_gives_zero_width_answer(self):
-        outcome = MarginalOutcome(0.25, 0.25, "exact", True)
-        answer = AnswerResult.from_marginal((2,), 1.0, outcome)
+        answer = Enclosure(0.25, 0.25, "exact", True).scaled(1.0)
         assert answer.exact and answer.width == 0.0
-        assert answer.probability == 0.25
+        assert answer.midpoint == 0.25
 
 
 # ---------------------------------------------------------------- property

@@ -16,6 +16,8 @@ from repro.serve import AdmissionPolicy, Server
 from repro.workload import WorkloadParams, generate_database
 from repro.workload.queries import benchmark_query
 
+from tests.conftest import rst_database
+
 QUERY = "q(a) :- R(a), S(a,b)"
 
 
@@ -127,6 +129,42 @@ class TestQueryModes:
         server.query("q")
         stats = server.prepared["q"].describe()
         assert stats["requests"] == 2
+
+
+#: The keys of every answer entry, whatever mode served it.
+WIRE_KEYS = {"row", "probability", "lower", "upper", "method", "exact"}
+
+
+def assert_wire_shape(answers) -> None:
+    assert answers
+    for a in answers:
+        assert set(a) == WIRE_KEYS, a
+        assert a["probability"] == (a["lower"] + a["upper"]) / 2
+        assert not a["exact"] or a["lower"] == a["upper"]
+
+
+class TestWireShape:
+    @pytest.mark.parametrize("mode", ["exact", "degrade", "bounds"])
+    def test_every_mode_answers_in_one_shape(self, server, mode):
+        assert_wire_shape(server.query("q", mode=mode)["answers"])
+
+    def test_degraded_enclosures_keep_the_shape(self):
+        # No exact engine and no OBDD: the ladder must answer with
+        # non-exact enclosures, in the same shape.
+        server = Server(
+            rst_database(6, 0.6, 0),
+            budget_template=QueryBudget(
+                max_width=0, dpll_max_calls=0, obdd_max_nodes=1
+            ),
+        )
+        server.prepare("q", "q(h) :- R1(h,x), S1(h,x,y), R2(h,y)")
+        try:
+            answers = server.query("q", mode="degrade")["answers"]
+            assert not any(a["exact"] for a in answers)
+            assert_wire_shape(answers)
+            assert_wire_shape(server.query("q", mode="bounds")["answers"])
+        finally:
+            server.drain(timeout=10.0)
 
 
 class TestSessions:
