@@ -12,13 +12,21 @@ lineage the paper shows:
 Run:  python examples/walkthrough_fig4.py
 """
 
-from repro import AndOrNetwork, EPSILON, PLRelation, ProbabilisticDatabase
-from repro.core.operators import independent_project, deduplicate, pl_join, project
+from repro import AndOrNetwork, EPSILON, ProbabilisticDatabase
+from repro.core.columnar import (
+    ColumnarPLRelation,
+    ValueInterner,
+    deduplicate,
+    from_base,
+    independent_project,
+    pl_join,
+    project,
+)
 from repro.core.inference import compute_marginal
 from repro.core.network import NodeKind
 
 
-def show(rel: PLRelation, title: str) -> None:
+def show(rel: ColumnarPLRelation, title: str) -> None:
     print(f"\n{title}")
     net = rel.network
     for row, l, p in rel.items():
@@ -54,10 +62,11 @@ def main() -> None:
     })
     db.add_relation("T", ("B",), {("b1",): 0.2, ("b2",): 0.3})
 
-    net = AndOrNetwork()
-    r = PLRelation.from_base(db["R"], net)
-    s = PLRelation.from_base(db["S"], net)
-    t = PLRelation.from_base(db["T"], net)
+    # One network for the whole plan, one dictionary encoding of the values.
+    net, interner = AndOrNetwork(), ValueInterner()
+    r = from_base(db["R"], net, interner)
+    s = from_base(db["S"], net, interner)
+    t = from_base(db["T"], net, interner)
     show(r, "R (base; all lineage ε)")
 
     # Join 1: R ⋈ S. a1, a2 are uncertain with two join partners each, so
@@ -69,7 +78,8 @@ def main() -> None:
     # Projection π_y = independent project + deduplication.
     ip = independent_project(joined, ("B",))
     print("\nIndProj (group by value AND lineage, OR the probabilities):")
-    for row, l, p in ip:
+    for codes, l, p in zip(ip.codes, ip.lineage.tolist(), ip.probs.tolist()):
+        row = tuple(interner.decode_column(codes))
         print(f"  {row!r:10s} l={'ε' if l == EPSILON else f'n{l}'} p={p:.6g}")
     projected = deduplicate(joined, ("B",), ip)
     show(projected, "Dedup: duplicate groups become Or nodes "
@@ -84,7 +94,7 @@ def main() -> None:
     show(answer, "π_∅(...): the Boolean answer tuple")
     show_network(net)
 
-    ((l, p),) = [(answer.lineage(()), answer.probability(()))]
+    ((_, l, p),) = answer.items()
     marginal = compute_marginal(net, l)
     print(f"\nPr(q) = p · Pr(n{l}=1) = {p:.6g} · {marginal:.6g} "
           f"= {p * marginal:.6g}")

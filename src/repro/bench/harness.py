@@ -76,7 +76,6 @@ def run_partial_lineage(
     db: ProbabilisticDatabase,
     bench: BenchmarkQuery,
     max_calls: int = 2_000_000,
-    engine: str = "columnar",
     inference: str = "auto",
     workers: int | None = None,
 ) -> MethodResult:
@@ -84,16 +83,15 @@ def run_partial_lineage(
 
     *max_calls* bounds the final-inference DPLL exactly like the competitor's
     budget in :func:`run_full_lineage`, keeping comparisons symmetric.
-    *engine* selects the operator backend (``"columnar"`` or ``"rows"``);
-    *inference* the final-inference path (see
+    *inference* selects the final-inference path (see
     :meth:`~repro.core.executor.EvaluationResult.answer_probabilities`);
     *workers* the process-pool size for component-parallel inference
     (``None`` stays in-process).
     """
     start = time.perf_counter()
-    result = PartialLineageEvaluator(
-        db, engine=engine, workers=workers
-    ).evaluate_query(bench.query, list(bench.join_order))
+    result = PartialLineageEvaluator(db, workers=workers).evaluate_query(
+        bench.query, list(bench.join_order)
+    )
     try:
         answers = result.answer_probabilities(
             engine=inference, dpll_max_calls=max_calls

@@ -45,15 +45,13 @@ Seven subcommands, mirroring how the paper's system is exercised:
     the first two reads ``--flight-log PATH`` or replays a small Section
     6.1 workload in-process.
 
-``query`` and ``workload`` accept ``--engine {columnar,rows}`` to pick the
-operator backend of the partial-lineage evaluator (columnar by default),
-and ``--workers`` to fan final inference out over a process pool
-(in-process by default). ``query`` additionally takes ``--deadline`` /
-``--max-network-nodes`` (a strict :class:`repro.resilience.QueryBudget`:
-blowing it is an error) and ``--degrade`` (resilient mode: hard answers
-degrade through the :mod:`repro.resilience` ladder to sound
-``[lower, upper]`` bounds instead of failing, with ``--chunk-timeout``
-bounding each pool dispatch). ``query``, ``workload``, and ``explain`` all
+``query`` and ``workload`` accept ``--workers`` to fan final inference out
+over a process pool (in-process by default). ``query`` additionally takes
+``--deadline`` / ``--max-network-nodes`` (a strict
+:class:`repro.resilience.QueryBudget`: blowing it is an error) and
+``--degrade`` (resilient mode: hard answers degrade through the
+:mod:`repro.resilience` ladder to sound ``[lower, upper]`` bounds instead of
+failing, with ``--chunk-timeout`` bounding each pool dispatch). ``query``, ``workload``, and ``explain`` all
 take ``--trace PATH`` (write a Chrome trace-event JSON of the run, workers
 included), ``--profile`` (print the span tree with wall/CPU times), and
 ``--flight-log PATH`` (sink the always-on flight recorder's records for the
@@ -151,11 +149,11 @@ def cmd_query(args: argparse.Namespace) -> int:
     # the ladder turns a blown deadline into sound bounds; attaching it to
     # the operator pipeline too would make the whole query fail instead.
     evaluator = PartialLineageEvaluator(
-        db, engine=args.engine, workers=args.workers,
+        db, workers=args.workers,
         budget=None if args.degrade else budget,
     )
     if args.optimize:
-        choice = choose_join_order(query, db, engine=args.engine)
+        choice = choose_join_order(query, db)
         order = list(choice.order)
         print(f"optimised join order: {' , '.join(order)} "
               f"({choice.offending} offending)")
@@ -175,7 +173,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
             plan = left_deep_plan(query, order)
             result = evaluator.evaluate(plan)
-            bounds = DissociationEvaluator(db, engine=args.engine).evaluate(plan)
+            bounds = DissociationEvaluator(db).evaluate(plan)
             cert = certified_top_k(
                 result, bounds, args.top_k,
                 workers=args.workers, budget=budget,
@@ -281,7 +279,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
             db,
             query,
             join_order=order,
-            engine=args.engine,
             workers=args.workers,
             registry=registry,
             budget=budget,
@@ -324,9 +321,7 @@ def cmd_whatif(args: argparse.Namespace) -> int:
         order = args.join_order.split(",") if args.join_order else None
 
     cache = CircuitCache()
-    evaluator = PartialLineageEvaluator(
-        db, engine=args.engine, circuit_cache=cache
-    )
+    evaluator = PartialLineageEvaluator(db, circuit_cache=cache)
     with _observed(args):
         result = evaluator.evaluate_query(query, order)
         analysis = result.whatif()
@@ -400,7 +395,7 @@ def _replay_flight(args: argparse.Namespace) -> list[dict]:
     before = recorder.recorded
     for name in args.queries:
         bench = benchmark_query(name)
-        evaluator = PartialLineageEvaluator(db, engine=args.engine)
+        evaluator = PartialLineageEvaluator(db)
         result = evaluator.evaluate_query(bench.query, list(bench.join_order))
         result.answer_probabilities()
     produced = recorder.recorded - before
@@ -520,7 +515,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
         print(f"saved the instance to {args.save}")
     methods = [
         lambda db, bench: run_partial_lineage(
-            db, bench, engine=args.engine, workers=args.workers
+            db, bench, workers=args.workers
         ),
         run_partial_lineage_sqlite,
     ]
@@ -580,7 +575,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         policy=AdmissionPolicy(
             max_queue=args.max_queue, workers=args.serve_workers
         ),
-        engine=args.engine,
         default_deadline=args.default_deadline,
         budget_template=template,
         pool_workers=args.workers,
@@ -636,8 +630,6 @@ def _add_replay_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m", type=int, default=40,
                         help="[replay] instance size m")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--engine", default="columnar",
-                        choices=("columnar", "rows"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -657,8 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--digits", type=int, default=6)
     q.add_argument("--explain", action="store_true",
                    help="print the annotated plan tree before evaluating")
-    q.add_argument("--engine", default="columnar", choices=("columnar", "rows"),
-                   help="operator backend for the pL evaluator")
     q.add_argument("--workers", type=int, default=None,
                    help="process-pool size for component-parallel final "
                         "inference (default: in-process)")
@@ -708,9 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--rd", type=float, default=1.0)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--join-order", help="comma-separated relation names")
-    e.add_argument("--engine", default="columnar",
-                   choices=("columnar", "rows"),
-                   help="operator backend for the pL evaluator")
     e.add_argument("--workers", type=int, default=None,
                    help="recorded pool size (the report itself solves "
                         "in-process to measure per-slice timings)")
@@ -752,9 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     wf.add_argument("--seed", type=int, default=0,
                     help="workload generator and scenario-sampler seed")
     wf.add_argument("--join-order", help="comma-separated relation names")
-    wf.add_argument("--engine", default="columnar",
-                    choices=("columnar", "rows"),
-                    help="operator backend for the pL evaluator")
     wf.add_argument("--method", default="auto",
                     choices=("auto", "circuit", "obdd"),
                     help="sensitivity engine: batched circuit gradients "
@@ -789,8 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampling implementation for --sample")
     w.add_argument("--save", metavar="DIR",
                    help="persist the generated instance as CSV files")
-    w.add_argument("--engine", default="columnar", choices=("columnar", "rows"),
-                   help="operator backend for the pL evaluator")
     w.add_argument("--workers", type=int, default=None,
                    help="process-pool size for component-parallel final "
                         "inference (default: in-process)")
@@ -816,8 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="TCP port (0 picks a free port; default 7432)")
     srv.add_argument("--socket", default=None, metavar="PATH",
                      help="serve on a unix-domain socket instead of TCP")
-    srv.add_argument("--engine", default="columnar",
-                     choices=("columnar", "rows"))
     srv.add_argument("--serve-workers", type=int, default=4,
                      help="concurrent execution threads (default 4)")
     srv.add_argument("--max-queue", type=int, default=32,

@@ -8,14 +8,10 @@ Modules
 ``plrelation``
     pL-relations (Definition 5.2): relations carrying a probability and a
     lineage node per tuple, interpreted against a shared And-Or network.
-``operators``
-    The mixed extensional/intensional operators of Section 5.3: selection,
-    independent project, deduplication, conditioning, ``cSet``, and the
-    pL-join.
 ``columnar``
-    The vectorized columnar execution backend: dictionary-encoded pL-relation
-    columns and NumPy kernels for every operator, allocating the same network
-    nodes as the row engine.
+    The mixed extensional/intensional operators of Section 5.3 — selection,
+    independent project, deduplication, conditioning, ``cSet``, and the
+    pL-join — as NumPy kernels over dictionary-encoded pL-relation columns.
 ``plan``
     Relational plan AST (Scan/Select/Project/Join) and the left-deep plan
     builder used for the Table 1 queries.

@@ -1,10 +1,26 @@
-"""Columnar pL-relations: the vectorized execution backend (Section 5.3).
+"""Columnar pL-relations and the pL operators of Section 5.3.
 
-The row-at-a-time operators in :mod:`repro.core.operators` walk Python dicts
-tuple by tuple, so on large instances the *extensional* arithmetic — the part
-the paper proves is linear-time — dominates wall-clock. This module stores a
-pL-relation column-wise and reimplements every operator as NumPy array
-kernels:
+The operators are defined so that (i) on purely extensional inputs they reduce
+to the classical extensional operators of [8] (Eqs. 2-4), and (ii) in general
+they push as much work as possible into plain arithmetic on the probability
+column, creating network nodes only where the data forces it:
+
+* :func:`select_eq` / :func:`select_where` — relational selection (always
+  data safe, Sec 5.3.1);
+* :func:`independent_project` / :func:`deduplicate` — the two halves of
+  projection (Sec 5.3.2); deduplication is the only place Or nodes are born;
+* :func:`condition` — the ``Cond`` operation (Sec 5.3.3): make a tuple
+  deterministic and remember its probability as a fresh network leaf;
+* :func:`cset` / :func:`cset_mask` — the offending tuples of a join
+  (Definition 5.14);
+* :func:`pl_join_raw` — ``⋈_pL`` (Definition 5.13), correct only after
+  conditioning; And nodes are born here;
+* :func:`pl_join` — Theorem 5.16's recipe: condition both sides on their
+  cSets, then ``⋈_pL``.
+
+Every operator returns a new :class:`ColumnarPLRelation` sharing (and
+augmenting) the input's network. The extensional arithmetic is the part the
+paper proves linear-time, so the representation keeps it in NumPy kernels:
 
 * a ``float64`` probability column and an ``int64`` lineage-node column;
 * dictionary-encoded key columns: every attribute value is interned once in a
@@ -20,12 +36,13 @@ kernels:
   key join that splits numeric-multiply pairs from gate-needing pairs in one
   vectorized pass.
 
-Every kernel preserves the row engine's *operation order* — first-occurrence
-group ordering, left-major/right-stable match ordering, row-order
-conditioning — so an evaluation through this backend allocates exactly the
-same network nodes (same ids, same structure) as the reference row engine,
-with probabilities agreeing to float round-off. ``tests/property`` checks
-this equivalence on random databases and plans.
+Every kernel fixes its *operation order* — first-occurrence group ordering,
+left-major/right-stable match ordering, row-order conditioning — so one plan
+over one instance always allocates the same network nodes. The independent
+checks are possible-worlds enumeration (:meth:`PLRelation.distribution` on
+small relations, the brute-force marginals in ``tests/property``) and the
+SQLite backend (:mod:`repro.sqlbackend`), which must agree with these kernels
+on answers, offending counts and network size.
 """
 
 from __future__ import annotations
@@ -64,8 +81,8 @@ __all__ = [
 class ValueInterner:
     """Append-only dictionary encoding of attribute values.
 
-    Every distinct value (by ``==``/``hash``, exactly the row engine's tuple
-    equality) gets one non-negative ``int64`` code; all columnar relations of
+    Every distinct value (by ``==``/``hash``, exactly Python tuple equality)
+    gets one non-negative ``int64`` code; all columnar relations of
     one evaluation share a single interner, so codes are directly comparable
     across relations and a join never has to look at the values themselves.
     """
@@ -155,8 +172,8 @@ class ValueInterner:
 
 
 #: Transient columnar representation between independent project and
-#: deduplication (the analogue of ``operators.ProjectedRows``): already
-#: merged by (projected key, lineage), in first-occurrence order.
+#: deduplication: already merged by (projected key, lineage), in
+#: first-occurrence order.
 @dataclass
 class ColumnarProjected:
     codes: np.ndarray  # (rows, len(attributes)) int64
@@ -171,7 +188,9 @@ class ColumnarPLRelation:
     (Definition 5.2); the representation differs: ``codes`` holds the
     dictionary-encoded key columns as an ``(n, arity)`` ``int64`` matrix,
     ``lineage`` the network node per row, ``probs`` the probability column.
-    Row order is insertion order, as in the row engine.
+    Row order is insertion order. Every operator of this module consumes and
+    produces this representation; :meth:`to_rows` converts a (small) final
+    result into the row-backed :class:`PLRelation` that results expose.
     """
 
     __slots__ = (
@@ -253,7 +272,7 @@ class ColumnarPLRelation:
         return bool((self.lineage == EPSILON).all())
 
     def to_rows(self) -> PLRelation:
-        """Convert to a row-engine :class:`PLRelation` (same network)."""
+        """Convert to a row-backed :class:`PLRelation` (same network)."""
         with _span("to_rows", tuples=len(self)):
             out = PLRelation(self.attributes, self.network, name=self.name)
             for row, l, p in self.items():
@@ -294,7 +313,11 @@ def from_base(
     interner: ValueInterner,
     attributes: Iterable[str] | None = None,
 ) -> ColumnarPLRelation:
-    """Lift an independent relation column-wise: every tuple gets lineage ε."""
+    """Lift an independent relation: every tuple gets lineage ε.
+
+    This is Example 5.3 — an independent relation is a pL-relation whose
+    lineage column is constantly the trivial node.
+    """
     attrs = tuple(
         attributes if attributes is not None else relation.schema.attributes
     )
@@ -353,7 +376,7 @@ def _encode_base(relation, interner, codes, n, k):
 def from_plrelation(
     rel: PLRelation, interner: ValueInterner
 ) -> ColumnarPLRelation:
-    """Columnar view of a row-engine pL-relation (shares its network)."""
+    """Columnar view of a row-backed pL-relation (shares its network)."""
     n = len(rel)
     k = len(rel.attributes)
     codes = np.empty((n, k), dtype=np.int64)
@@ -403,7 +426,7 @@ def _group_first_occurrence(
     n: int, cols: list[np.ndarray]
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """Group rows by the fused key, numbering groups in first-occurrence
-    order (the row engine's dict-insertion order).
+    order (the order a Python dict would insert them in).
 
     Returns ``(group id per row, group count, first row index per group)``.
     """
@@ -435,7 +458,10 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def select_eq(
     rel: ColumnarPLRelation, conditions: Mapping[str, object]
 ) -> ColumnarPLRelation:
-    """Vectorized ``σ_{A=a, ...}``: one boolean mask over the code columns."""
+    """Selection ``σ_{A=a, ...}``: one boolean mask over the code columns.
+
+    Always data safe (Proposition 3.2); lineage and probability pass through.
+    """
     mask = np.ones(len(rel), dtype=bool)
     for attr, value in conditions.items():
         j = rel.index_of(attr)
@@ -456,8 +482,7 @@ _COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")
 class Comparison:
     """A compilable selection predicate ``attribute <op> constant``.
 
-    Handed to :func:`select_where` (either engine) instead of a callable,
-    the predicate is evaluated as array expressions over the
+    Handed to :func:`select_where` instead of a callable, the predicate is evaluated as array expressions over the
     dictionary-encoded column — no per-row Python call, no row decoding:
 
     * ``==`` / ``!=`` compare codes directly: equal values share a code by
@@ -487,7 +512,8 @@ class Comparison:
             )
 
     def matches(self, row, index_of) -> bool:
-        """Row-at-a-time evaluation (the row engine's path)."""
+        """Evaluate on one decoded row (the ordering comparisons of
+        :meth:`mask` run it once per distinct value)."""
         v = row[index_of(self.attribute)]
         if self.op == "==":
             return v == self.value
@@ -560,8 +586,11 @@ def _as_comparisons(predicate) -> list[Comparison] | None:
 def independent_project(
     rel: ColumnarPLRelation, attributes: Sequence[str]
 ) -> ColumnarProjected:
-    """Vectorized independent project (Sec 5.3.2): group by (key, lineage),
-    merge probabilities as ``1 - Π(1-p)`` via a log-space grouped reduction."""
+    """Independent project (Sec 5.3.2): group by projected value *and* lineage.
+
+    Rows sharing both are merged extensionally, ``p' = 1 - Π(1-p)``, via a
+    log-space grouped reduction clamped into [0, 1].
+    """
     positions = [rel.index_of(a) for a in attributes]
     n = len(rel)
     cols = [rel.codes[:, j] for j in positions] + [rel.lineage]
@@ -589,9 +618,17 @@ def deduplicate(
     attributes: Sequence[str],
     projected: ColumnarProjected,
 ) -> ColumnarPLRelation:
-    """Vectorized deduplication (Sec 5.3.2): same-value groups become one row
-    through an Or node, with the whole batch of Or gates allocated in one
-    :meth:`~repro.core.network.AndOrNetwork.add_gates` call."""
+    """Deduplication (Sec 5.3.2): merge same-value rows through an Or node.
+
+    Groups with a single member pass through unchanged. A group with several
+    members — necessarily with pairwise distinct lineage — becomes one row
+    with probability 1 and a fresh Or node whose parents are the members'
+    lineage nodes, with the members' probabilities as edge probabilities;
+    the whole batch of Or gates is allocated in one
+    :meth:`~repro.core.network.AndOrNetwork.add_gates` call. The probability
+    mass moves onto the edges; Theorem 5.10 shows the result obeys
+    possible-worlds semantics.
+    """
     net = rel.network
     lineage, probs, codes = projected.lineage, projected.probs, projected.codes
     n = len(lineage)
@@ -681,12 +718,18 @@ def _target_mask(rel: ColumnarPLRelation, rows: Iterable[Row]) -> np.ndarray:
 def condition(
     rel: ColumnarPLRelation, rows, recorder=None
 ) -> ColumnarPLRelation:
-    """Vectorized ``Cond`` (Sec 5.3.3).
+    """``Cond`` (Sec 5.3.3): make the given rows deterministic.
 
     *rows* is either a boolean mask over the relation or an iterable of row
-    tuples. Uncertain ε-rows get bulk-allocated leaves; uncertain rows that
-    already carry lineage get single-parent And gates — in row order, in runs,
-    so node ids match the row engine's one-at-a-time allocation exactly.
+    tuples. An uncertain row with trivial lineage moves its probability to a
+    fresh leaf (the paper's definition). An uncertain row that already
+    carries lineage ``l ≠ ε`` — an intermediate relation feeding a later
+    join — is the event ``l ∧ anon(p)``, so it gets a single-parent And gate
+    with edge probability ``p``; this generalises Lemma 5.12 and keeps the
+    distribution unchanged. Rows that are already deterministic are left
+    untouched. Nodes are allocated in row order, in same-kind runs, so ids
+    follow the rows. The optional *recorder* ``(node, source, row)``
+    receives every conditioned tuple.
     """
     if isinstance(rows, np.ndarray) and rows.dtype == bool:
         mask = rows
@@ -709,8 +752,8 @@ def condition(
         return out
     is_eps = rel.lineage[todo] == EPSILON
     new_nodes = np.empty(todo.size, dtype=np.int64)
-    # Allocate in row order, in maximal same-kind runs, to keep node ids
-    # identical to the scalar path's interleaved allocation.
+    # Allocate in row order, in maximal same-kind runs, so node ids follow
+    # the rows exactly as a one-at-a-time allocation would.
     boundaries = np.flatnonzero(is_eps[1:] != is_eps[:-1]) + 1
     run_starts = np.concatenate([[0], boundaries, [todo.size]])
     for s, e in zip(run_starts[:-1], run_starts[1:]):
@@ -761,8 +804,13 @@ def _joint_keys(
 def cset_mask(
     left: ColumnarPLRelation, right: ColumnarPLRelation, on: Sequence[str]
 ) -> np.ndarray:
-    """Boolean mask of *left*'s offending tuples (Definition 5.14):
-    uncertain and joining with more than one tuple of *right*."""
+    """Boolean mask of *left*'s offending tuples (Definition 5.14).
+
+    A tuple offends when it is uncertain (``p < 1``) and joins with more than
+    one tuple of *right*. Matching Proposition 3.2, *all* join partners count,
+    deterministic or not: a shared uncertain left tuple correlates its output
+    tuples regardless of the partners' probabilities.
+    """
     lpos, rpos, _ = _join_positions(left, right, on)
     lkeys, rkeys = _joint_keys(left, right, lpos, rpos)
     uniq, inverse = np.unique(
@@ -776,7 +824,7 @@ def cset_mask(
 def cset(
     left: ColumnarPLRelation, right: ColumnarPLRelation, on: Sequence[str]
 ) -> list[Row]:
-    """``cSet(left, right)`` as decoded rows (row-engine API parity)."""
+    """``cSet(left, right)`` (Definition 5.14) as decoded rows."""
     mask = cset_mask(left, right, on)
     rows = left.rows()
     return [rows[i] for i in np.flatnonzero(mask).tolist()]
@@ -785,12 +833,15 @@ def cset(
 def pl_join_raw(
     left: ColumnarPLRelation, right: ColumnarPLRelation, on: Sequence[str]
 ) -> ColumnarPLRelation:
-    """Vectorized ``⋈_pL`` (Definition 5.13), *without* conditioning.
+    """``⋈_pL`` (Definition 5.13), *without* conditioning.
 
-    A key-encoded sort/``searchsorted`` join yields match index pairs in the
-    row engine's order (left-major, right insertion order within a key);
-    one vectorized pass then splits pairs whose sides both carry lineage
-    (batched And gates) from pairs folded by numeric multiplication.
+    Correct (possible-worlds preserving) only when both cSets are empty —
+    use :func:`pl_join` for the safe composition. A key-encoded
+    sort/``searchsorted`` join yields match index pairs left-major, right
+    insertion order within a key; one vectorized pass then gives pairs whose
+    sides both carry lineage a batched And gate, and folds the rest by
+    multiplying probabilities (the non-trivial lineage, if any, passes
+    through).
     """
     if left.network is not right.network:
         raise SchemaError("pL-join requires both sides to share one network")
@@ -850,7 +901,13 @@ def pl_join(
     recorder=None,
 ) -> tuple[ColumnarPLRelation, int]:
     """Safe join (Theorem 5.16): condition both sides on their cSets, then
-    ``⋈_pL`` — all steps vectorized. Returns (joined, conditioned count)."""
+    ``⋈_pL``.
+
+    Returns the joined relation and the number of tuples conditioned — the
+    per-operator offending-tuple count that measures data (un)safety. The
+    optional *recorder* ``(node, source, row)`` receives the provenance of
+    every conditioned tuple (used for what-if analysis).
+    """
     lmask = cset_mask(left, right, on)
     rmask = cset_mask(right, left, on)
     left2 = condition(left, lmask, recorder) if lmask.any() else left

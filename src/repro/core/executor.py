@@ -29,9 +29,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import columnar as _columnar
-from repro.core.columnar import ColumnarPLRelation, ValueInterner
+from repro.core.columnar import (
+    ColumnarPLRelation,
+    ValueInterner,
+    pl_join,
+    project,
+    select_eq,
+    select_where,
+)
 from repro.core.network import EPSILON, AndOrNetwork
-from repro.core.operators import pl_join, project, select_eq, select_where
 from repro.core.plan import (
     Filter,
     Join,
@@ -47,12 +53,8 @@ from repro.obs.trace import span as _span
 from repro.db.database import ProbabilisticDatabase
 from repro.db.schema import Row
 from repro.errors import PlanError
-from repro.query.syntax import ConjunctiveQuery, Constant, Variable
+from repro.query.syntax import ConjunctiveQuery, Constant
 from repro.resilience.budget import QueryBudget
-
-#: Engines the evaluator can run the operator pipeline with.
-ENGINES = ("columnar", "rows")
-
 
 @dataclass
 class OperatorStat:
@@ -105,8 +107,8 @@ class EvaluationResult:
     #: compilation (``None`` = compile per analysis), inherited from the
     #: evaluator
     circuit_cache: object | None = None
-    #: operator backend that produced this result (``"columnar"``,
-    #: ``"rows"``, ``"sqlite"``), stamped into flight-recorder records
+    #: operator backend that produced this result (``"columnar"`` or
+    #: ``"sqlite"``), stamped into flight-recorder records
     engine: str = ""
 
     def whatif(self, *, circuit_cache=None, budget=None):
@@ -411,7 +413,6 @@ class PartialLineageEvaluator:
         db: ProbabilisticDatabase,
         *,
         hashing: bool = True,
-        engine: str = "columnar",
         workers: int | None = None,
         budget=None,
         circuit_cache=None,
@@ -420,10 +421,6 @@ class PartialLineageEvaluator:
         #: Pass-through to :class:`AndOrNetwork`: disable to ablate the
         #: Section 5.4 node-reuse optimisation.
         self.hashing = hashing
-        if engine not in ENGINES:
-            raise PlanError(
-                f"unknown evaluation engine {engine!r}; choose from {ENGINES}"
-            )
         #: Default process-pool size for final inference, handed to every
         #: :class:`EvaluationResult` this evaluator produces (``None`` keeps
         #: inference in-process; see :mod:`repro.perf.parallel`).
@@ -432,20 +429,16 @@ class PartialLineageEvaluator:
         #: execution: checkpointed after every operator (deadline +
         #: network-size cap) and handed to every result for final inference.
         self.budget = budget
-        #: ``"columnar"`` (vectorized NumPy operator pipeline, the default) or
-        #: ``"rows"`` (the row-at-a-time reference implementation). Both grow
-        #: identical networks; only throughput differs.
-        self.engine = engine
         #: Optional :class:`~repro.circuit.CircuitCache` shared by every
         #: what-if analysis over this evaluator's results; subscribed to the
         #: database's mutation hooks so inserts invalidate compiled circuits.
         self.circuit_cache = circuit_cache
         if circuit_cache is not None:
             circuit_cache.watch(db)
-        # Shared dictionary encoding plus a per-base-relation encode cache for
-        # the columnar engine: scans of the same (unmodified) relation across
-        # evaluations — e.g. the optimizer costing many join orders — reuse
-        # the code matrix instead of re-interning every value.
+        # Shared dictionary encoding plus a per-base-relation encode cache:
+        # scans of the same (unmodified) relation across evaluations — e.g.
+        # the optimizer costing many join orders — reuse the code matrix
+        # instead of re-interning every value.
         self._interner = ValueInterner()
         self._base_cache: dict = {}
 
@@ -453,9 +446,9 @@ class PartialLineageEvaluator:
     def evaluate(self, plan: Plan, budget=None) -> EvaluationResult:
         """Evaluate an explicit plan; validates its schema first.
 
-        Regardless of engine, the result's ``relation`` is a row-backed
-        :class:`PLRelation` (the columnar engine converts its final — small —
-        output), so downstream consumers see one representation.
+        The result's ``relation`` is a row-backed :class:`PLRelation` (the
+        columnar pipeline converts its final — small — output), the one
+        representation downstream consumers read.
 
         *budget* (default: the evaluator's ``budget`` knob) is an optional
         :class:`~repro.resilience.QueryBudget`: the deadline and the
@@ -472,13 +465,11 @@ class PartialLineageEvaluator:
         stats: list[OperatorStat] = []
         conditioned: list[OffendingTuple] = []
         rel = self._eval(plan, network, stats, conditioned, budget)
-        if isinstance(rel, ColumnarPLRelation):
-            rel = rel.to_rows()
         return EvaluationResult(
-            rel, network, stats, conditioned,
+            rel.to_rows(), network, stats, conditioned,
             workers=self.workers, budget=budget,
             circuit_cache=self.circuit_cache,
-            engine=self.engine,
+            engine="columnar",
         )
 
     def invalidate_cache(self) -> None:
@@ -505,40 +496,35 @@ class PartialLineageEvaluator:
         stats: list[OperatorStat],
         provenance: list[OffendingTuple],
         budget=None,
-    ) -> PLRelation:
-        # The operators dispatch on the relation type, so the recursion is
-        # engine-agnostic; only the scan differs. Each operator's own wall
-        # time (children excluded) lands in its OperatorStat, and — when a
-        # tracer is active — in a per-operator span. A budget, when present,
-        # is checkpointed after every operator: deadline plus network-size
-        # cap, the two resources the operator pipeline itself consumes.
+    ) -> ColumnarPLRelation:
+        # Each operator's own wall time (children excluded) lands in its
+        # OperatorStat, and — when a tracer is active — in a per-operator
+        # span. A budget, when present, is checkpointed after every operator:
+        # deadline plus network-size cap, the two resources the operator
+        # pipeline itself consumes.
         if isinstance(plan, Scan):
-            with _span("scan", op=str(plan), engine=self.engine) as sp:
+            with _span("scan", op=str(plan)) as sp:
                 start = time.perf_counter()
-                rel = (
-                    self._scan_columnar(plan, network)
-                    if self.engine == "columnar"
-                    else self._scan(plan, network)
-                )
+                rel = self._scan(plan, network)
                 seconds = time.perf_counter() - start
                 sp.add("output_size", len(rel))
         elif isinstance(plan, Select):
             child = self._eval(plan.child, network, stats, provenance, budget)
-            with _span("select", op=str(plan), engine=self.engine) as sp:
+            with _span("select", op=str(plan)) as sp:
                 start = time.perf_counter()
                 rel = select_eq(child, dict(plan.conditions))
                 seconds = time.perf_counter() - start
                 sp.add("output_size", len(rel))
         elif isinstance(plan, Filter):
             child = self._eval(plan.child, network, stats, provenance, budget)
-            with _span("filter", op=str(plan), engine=self.engine) as sp:
+            with _span("filter", op=str(plan)) as sp:
                 start = time.perf_counter()
                 rel = select_where(child, list(plan.predicates))
                 seconds = time.perf_counter() - start
                 sp.add("output_size", len(rel))
         elif isinstance(plan, Project):
             child = self._eval(plan.child, network, stats, provenance, budget)
-            with _span("project", op=str(plan), engine=self.engine) as sp:
+            with _span("project", op=str(plan)) as sp:
                 start = time.perf_counter()
                 rel = project(child, plan.attributes)
                 seconds = time.perf_counter() - start
@@ -546,7 +532,7 @@ class PartialLineageEvaluator:
         elif isinstance(plan, Join):
             left = self._eval(plan.left, network, stats, provenance, budget)
             right = self._eval(plan.right, network, stats, provenance, budget)
-            with _span("join", op=str(plan), engine=self.engine) as sp:
+            with _span("join", op=str(plan)) as sp:
                 start = time.perf_counter()
                 rel, conditioned = pl_join(
                     left,
@@ -582,7 +568,7 @@ class PartialLineageEvaluator:
 
     # ------------------------------------------------------------------ scans
     def _base_arrays(self, name: str):
-        """Cached dictionary encoding of a base relation (columnar engine)."""
+        """Cached dictionary encoding of a base relation."""
         base = self.db[name]
         key = (name, id(base), len(base))
         hit = self._base_cache.get(key)
@@ -591,9 +577,7 @@ class PartialLineageEvaluator:
             self._base_cache[key] = hit
         return hit
 
-    def _scan_columnar(
-        self, scan: Scan, network: AndOrNetwork
-    ) -> ColumnarPLRelation:
+    def _scan(self, scan: Scan, network: AndOrNetwork) -> ColumnarPLRelation:
         base = self.db[scan.relation]
         codes, probs = self._base_arrays(scan.relation)
         lineage = np.full(len(base), EPSILON, dtype=np.int64)
@@ -638,39 +622,3 @@ class PartialLineageEvaluator:
             probs[idx],
             name=str(scan),
         )
-
-    def _scan(self, scan: Scan, network: AndOrNetwork) -> PLRelation:
-        base = self.db[scan.relation]
-        if scan.terms is None:
-            return PLRelation.from_base(base, network)
-        if len(scan.terms) != base.schema.arity:
-            raise PlanError(
-                f"scan of {scan.relation}: {len(scan.terms)} terms for arity "
-                f"{base.schema.arity}"
-            )
-        var_first: dict[str, int] = {}
-        for i, t in enumerate(scan.terms):
-            if isinstance(t, Variable) and t.name not in var_first:
-                var_first[t.name] = i
-        out = PLRelation(tuple(var_first), network, name=str(scan))
-        for row, p in base.items():
-            binding: dict[str, object] = {}
-            ok = True
-            for i, t in enumerate(scan.terms):
-                if isinstance(t, Constant):
-                    if row[i] != t.value:
-                        ok = False
-                        break
-                else:
-                    bound = binding.get(t.name, _UNSET)
-                    if bound is _UNSET:
-                        binding[t.name] = row[i]
-                    elif bound != row[i]:
-                        ok = False
-                        break
-            if ok:
-                out.add(tuple(row[i] for i in var_first.values()), EPSILON, p)
-        return out
-
-
-_UNSET = object()

@@ -90,17 +90,15 @@ def cost_order(
     db: ProbabilisticDatabase,
     order: tuple[str, ...],
     *,
-    engine: str = "columnar",
     evaluator: PartialLineageEvaluator | None = None,
 ) -> PlanChoice:
     """Evaluate the order's plan (no inference) and extract its cost.
 
-    *engine* selects the operator backend; pass a shared *evaluator* when
-    costing many orders so the columnar engine reuses its base-relation
-    encodings across evaluations.
+    Pass a shared *evaluator* when costing many orders so it reuses its
+    base-relation encodings across evaluations.
     """
     if evaluator is None:
-        evaluator = PartialLineageEvaluator(db, engine=engine)
+        evaluator = PartialLineageEvaluator(db)
     result = evaluator.evaluate(left_deep_plan(query, list(order)))
     return _choice_from_result(order, result)
 
@@ -215,7 +213,6 @@ def choose_join_order(
     *,
     max_orders: int = 120,
     mode: str = "evaluate",
-    engine: str = "columnar",
 ) -> PlanChoice:
     """Pick the cheapest left-deep join order for *query* on *db*.
 
@@ -234,14 +231,13 @@ def choose_join_order(
     ``mode="estimate"`` ranks orders from base-relation statistics only
     (constant cost per order, approximate); the default ``"evaluate"`` runs
     the cheap extensional evaluation per order (exact offending counts).
-    *engine* picks the operator backend for ``"evaluate"`` costing; one
-    evaluator is shared across all candidate orders, so the columnar engine
-    encodes each base relation only once for the whole search.
+    One evaluator is shared across all candidate orders, so each base
+    relation is encoded only once for the whole search.
     """
     if mode not in ("evaluate", "estimate"):
         raise PlanError(f"unknown optimiser mode {mode!r}")
     if mode == "evaluate":
-        shared = PartialLineageEvaluator(db, engine=engine)
+        shared = PartialLineageEvaluator(db)
 
         def cost(q, d, order):
             return cost_order(q, d, order, evaluator=shared)
@@ -264,14 +260,8 @@ def optimized_plan(
     db: ProbabilisticDatabase,
     *,
     max_orders: int = 120,
-    engine: str = "columnar",
 ) -> Plan:
     """The left-deep plan for the order chosen by :func:`choose_join_order`."""
     return left_deep_plan(
-        query,
-        list(
-            choose_join_order(
-                query, db, max_orders=max_orders, engine=engine
-            ).order
-        ),
+        query, list(choose_join_order(query, db, max_orders=max_orders).order)
     )

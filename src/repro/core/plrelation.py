@@ -22,7 +22,6 @@ import itertools
 from typing import Dict, Iterable, Iterator
 
 from repro.core.network import EPSILON, AndOrNetwork
-from repro.db.relation import ProbabilisticRelation
 from repro.db.schema import Row
 from repro.errors import CapacityError, ProbabilityError, SchemaError
 
@@ -59,36 +58,7 @@ class PLRelation:
         self._rows: Dict[Row, tuple[int, float]] = {}
         self._positions = {a: i for i, a in enumerate(self.attributes)}
 
-    # ------------------------------------------------------------- creation
-    @classmethod
-    def from_base(
-        cls,
-        relation: ProbabilisticRelation,
-        network: AndOrNetwork,
-        attributes: Iterable[str] | None = None,
-    ) -> "PLRelation":
-        """Lift an independent relation: every tuple gets lineage ε.
-
-        This is Example 5.3 — an independent relation is a pL-relation whose
-        lineage column is constantly the trivial node.
-        """
-        out = cls(
-            attributes if attributes is not None else relation.schema.attributes,
-            network,
-            name=relation.name,
-        )
-        for row, p in relation.items():
-            out.add(row, EPSILON, p)
-        return out
-
-    def empty_like(self, attributes: Iterable[str] | None = None, name: str = "") -> "PLRelation":
-        """A fresh empty pL-relation over the same network."""
-        return PLRelation(
-            self.attributes if attributes is None else attributes,
-            self.network,
-            name or self.name,
-        )
-
+    # ----------------------------------------------------------- conversion
     def to_columnar(self, interner=None):
         """Column-oriented view of this relation (same network, same rows).
 
@@ -152,10 +122,6 @@ class PLRelation:
                 f"pL-relation {self.name!r} has no attribute {attribute!r}; "
                 f"attributes are {self.attributes}"
             ) from None
-
-    def key(self, row: Row, attributes: Iterable[str]) -> Row:
-        """Project *row* onto *attributes* (by value, not a relation op)."""
-        return tuple(row[self._positions[a]] for a in attributes)
 
     def symbolic_rows(self) -> list[Row]:
         """Rows whose lineage is not ε — the intensional part of the relation."""

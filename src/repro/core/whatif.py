@@ -173,7 +173,7 @@ class WhatIfAnalysis:
 
         Conditioning an ε-row creates a leaf; conditioning a symbolic row
         creates a single-parent noisy And gate whose *edge* holds the
-        probability (see ``operators.condition``).
+        probability (see ``columnar.condition``).
         """
         from repro.core.network import NodeKind
 

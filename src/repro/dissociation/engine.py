@@ -17,9 +17,9 @@ sharing instead of tracking it:
   lower bound.
 
 Both variants are ordinary vectorized NumPy folds over the columnar
-representation (or a row-at-a-time mirror) — no And-Or network, no DPLL,
-no conditioning. On a data-safe instance no tuple has fanout > 1, both
-folds coincide, and the result is the exact probability with zero width;
+representation — no And-Or network, no DPLL, no conditioning. On a
+data-safe instance no tuple has fanout > 1, both folds coincide, and the
+result is the exact probability with zero width;
 the interval widens only where conditioning would have happened. Because a
 left-deep plan over a self-join-free query shares lineage exclusively in
 OR-context (copies of a tuple meet again only at projection OR-groups,
@@ -34,14 +34,13 @@ rewriting in pure SQL.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core import columnar as _columnar
-from repro.core.columnar import Comparison, ValueInterner
+from repro.core.columnar import ValueInterner
 from repro.core.plan import (
     Filter,
     Join,
@@ -122,7 +121,7 @@ class _BoundsRel:
 
     Quacks enough like :class:`~repro.core.columnar.ColumnarPLRelation`
     (``codes`` / ``index_of`` / ``interner`` / ``len``) for
-    :meth:`Comparison.mask` to compile against it.
+    :meth:`~repro.core.columnar.Comparison.mask` to compile against it.
     """
 
     __slots__ = ("attributes", "codes", "up", "lo", "interner")
@@ -203,16 +202,8 @@ class DissociationEvaluator:
     True
     """
 
-    def __init__(
-        self, db: ProbabilisticDatabase, *, engine: str = "columnar"
-    ) -> None:
-        if engine not in ("columnar", "rows"):
-            raise PlanError(
-                f"unknown dissociation engine {engine!r}; "
-                "choose 'columnar' or 'rows'"
-            )
+    def __init__(self, db: ProbabilisticDatabase) -> None:
         self.db = db
-        self.engine = engine
         self._interner = ValueInterner()
         self._base_cache: dict = {}
         #: Incremented per evaluation by the join splits (reset each call).
@@ -224,28 +215,20 @@ class DissociationEvaluator:
         plan_schema(plan, self.db)
         self._dissociated = 0
         start = time.perf_counter()
-        with _span("dissociation", engine=self.engine) as sp:
-            if self.engine == "columnar":
-                rel = self._eval(plan)
-                values = self._interner.decode_column(rel.codes.reshape(-1))
-                k = len(rel.attributes)
-                bounds = {}
-                for i in range(len(rel)):
-                    row = tuple(values[i * k : (i + 1) * k])
-                    bounds[row] = Enclosure.clamped(
-                        rel.lo[i], rel.up[i], "dissociation"
-                    )
-                attrs = rel.attributes
-            else:
-                attrs, rows = self._eval_rows(plan)
-                bounds = {
-                    row: Enclosure.clamped(lo, up, "dissociation")
-                    for row, (up, lo) in rows.items()
-                }
+        with _span("dissociation", engine="columnar") as sp:
+            rel = self._eval(plan)
+            values = self._interner.decode_column(rel.codes.reshape(-1))
+            k = len(rel.attributes)
+            bounds = {}
+            for i in range(len(rel)):
+                row = tuple(values[i * k : (i + 1) * k])
+                bounds[row] = Enclosure.clamped(
+                    rel.lo[i], rel.up[i], "dissociation"
+                )
             sp.add("answers", len(bounds))
             sp.add("dissociated", self._dissociated)
         return DissociationResult(
-            attributes=tuple(attrs),
+            attributes=tuple(rel.attributes),
             bounds=bounds,
             seconds=time.perf_counter() - start,
             dissociated=self._dissociated,
@@ -408,138 +391,13 @@ class DissociationEvaluator:
             self._interner,
         )
 
-    # ------------------------------------------------------------ rows engine
-    def _eval_rows(self, plan: Plan):
-        """Row-at-a-time mirror: returns (attrs, {row: (up, lo)})."""
-        if isinstance(plan, Scan):
-            base = self.db[plan.relation]
-            if plan.terms is None:
-                return base.schema.attributes, {
-                    tuple(row): (p, p) for row, p in base.items()
-                }
-            if len(plan.terms) != base.schema.arity:
-                raise PlanError(
-                    f"scan of {plan.relation}: {len(plan.terms)} terms for "
-                    f"arity {base.schema.arity}"
-                )
-            var_first: dict[str, int] = {}
-            for i, t in enumerate(plan.terms):
-                if not isinstance(t, Constant) and t.name not in var_first:
-                    var_first[t.name] = i
-            out = {}
-            for row, p in base.items():
-                binding: dict[str, object] = {}
-                ok = True
-                for i, t in enumerate(plan.terms):
-                    if isinstance(t, Constant):
-                        ok = row[i] == t.value
-                    elif t.name in binding:
-                        ok = binding[t.name] == row[i]
-                    else:
-                        binding[t.name] = row[i]
-                    if not ok:
-                        break
-                if ok:
-                    out[tuple(row[i] for i in var_first.values())] = (p, p)
-            return tuple(var_first), out
-        if isinstance(plan, Select):
-            attrs, rows = self._eval_rows(plan.child)
-            idx = {a: i for i, a in enumerate(attrs)}
-            conditions = [(idx[a], v) for a, v in plan.conditions]
-            return attrs, {
-                row: pr
-                for row, pr in rows.items()
-                if all(row[i] == v for i, v in conditions)
-            }
-        if isinstance(plan, Filter):
-            attrs, rows = self._eval_rows(plan.child)
-            idx = {a: i for i, a in enumerate(attrs)}
-            return attrs, {
-                row: pr
-                for row, pr in rows.items()
-                if all(
-                    c.matches(row, idx.__getitem__) for c in plan.predicates
-                )
-            }
-        if isinstance(plan, Project):
-            attrs, rows = self._eval_rows(plan.child)
-            positions = [attrs.index(a) for a in plan.attributes]
-            groups: dict[Row, list[tuple[float, float]]] = {}
-            for row, pr in rows.items():
-                groups.setdefault(
-                    tuple(row[i] for i in positions), []
-                ).append(pr)
-            out = {}
-            for key, members in groups.items():
-                if len(members) == 1:
-                    up, lo = members[0]
-                else:
-                    up = -math.expm1(
-                        sum(math.log1p(-u) for u, _ in members)
-                        if all(u < 1.0 for u, _ in members)
-                        else -math.inf
-                    )
-                    lo = -math.expm1(
-                        sum(math.log1p(-l) for _, l in members)
-                        if all(l < 1.0 for _, l in members)
-                        else -math.inf
-                    )
-                    up = min(1.0, max(0.0, up))
-                    lo = min(1.0, max(0.0, lo))
-                out[key] = (up, min(lo, up))
-            return tuple(plan.attributes), out
-        if isinstance(plan, Join):
-            lattrs, lrows = self._eval_rows(plan.left)
-            rattrs, rrows = self._eval_rows(plan.right)
-            lpos = [lattrs.index(a) for a in plan.on]
-            rpos = [rattrs.index(a) for a in plan.on]
-            keep = [
-                i for i, a in enumerate(rattrs) if a not in set(plan.on)
-            ]
-            lfan: dict[Row, int] = {}
-            rfan: dict[Row, int] = {}
-            for row in lrows:
-                key = tuple(row[i] for i in lpos)
-                lfan[key] = lfan.get(key, 0) + 1
-            for row in rrows:
-                key = tuple(row[i] for i in rpos)
-                rfan[key] = rfan.get(key, 0) + 1
-
-            def split(lo: float, c: int) -> float:
-                if c <= 1 or lo >= 1.0:
-                    return lo
-                self._dissociated += 1
-                return -math.expm1(math.log1p(-lo) / c)
-
-            index: dict[Row, list[tuple[Row, float, float]]] = {}
-            for row, (up, lo) in rrows.items():
-                key = tuple(row[i] for i in rpos)
-                index.setdefault(key, []).append(
-                    (row, up, split(lo, lfan.get(key, 0)))
-                )
-            out = {}
-            for row, (up, lo) in lrows.items():
-                key = tuple(row[i] for i in lpos)
-                lo = split(lo, rfan.get(key, 0))
-                for rrow, rup, rlo in index.get(key, ()):
-                    merged = row + tuple(rrow[i] for i in keep)
-                    out[merged] = (up * rup, lo * rlo)
-            return (
-                lattrs
-                + tuple(a for a in rattrs if a not in set(plan.on)),
-                out,
-            )
-        raise PlanError(f"unknown plan node {plan!r}")
-
 
 def dissociation_bounds(
     db: ProbabilisticDatabase,
     query: ConjunctiveQuery,
     join_order: list[str] | None = None,
-    *,
-    engine: str = "columnar",
 ) -> DissociationResult:
     """One-shot convenience: bounds for *query*'s left-deep plan."""
-    return DissociationEvaluator(db, engine=engine).evaluate_query(
+    return DissociationEvaluator(db).evaluate_query(
         query, join_order
     )

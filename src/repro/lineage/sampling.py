@@ -98,6 +98,40 @@ def _incidence(
     return inc, sizes
 
 
+def _canonical_clauses(dnf: DNF) -> list[frozenset[EventVar]]:
+    """The clauses in an order that does not depend on the hash seed."""
+    return sorted(dnf.clauses, key=lambda c: sorted(map(str, c)))
+
+
+def _clause_weights(
+    clauses: list[frozenset[EventVar]], probs: Mapping[EventVar, float]
+) -> list[float]:
+    """``Pr(clause)`` per clause, multiplied in sorted variable order so the
+    rounding (and hence the weight's last bits) does not depend on the
+    process's hash seed."""
+    weights = []
+    for c in clauses:
+        w = 1.0
+        for v in sorted(c):
+            w *= probs[v]
+        weights.append(w)
+    return weights
+
+
+def union_weight(dnf: DNF, probs: Mapping[EventVar, float]) -> float:
+    """Karp-Luby's union weight ``S = Σ_i Pr(clause_i)``.
+
+    Summed over the canonical clause and variable order :func:`karp_luby`
+    samples in, so its last bits do not depend on the process's hash seed.
+
+    >>> from repro.lineage.dnf import DNF, EventVar
+    >>> a, b = EventVar("R", (1,)), EventVar("R", (2,))
+    >>> union_weight(DNF([frozenset({a}), frozenset({a, b})]), {a: 0.5, b: 0.5})
+    0.75
+    """
+    return sum(_clause_weights(_canonical_clauses(dnf), probs))
+
+
 def _interned(
     dnf: DNF, probs: Mapping[EventVar, float]
 ) -> tuple[list[frozenset[int]], np.ndarray]:
@@ -107,7 +141,7 @@ def _interned(
         interner.intern(v)
     clauses = [
         frozenset(interner.id_of(v) for v in c)
-        for c in sorted(dnf.clauses, key=lambda c: sorted(map(str, c)))
+        for c in _canonical_clauses(dnf)
     ]
     p = np.asarray(interner.probability_vector(probs), dtype=np.float64)
     return clauses, p
@@ -192,15 +226,8 @@ def karp_luby(
     if isinstance(rng, np.random.Generator):
         raise TypeError("the scalar path needs a random.Random generator")
     rng = rng or random.Random()
-    clauses = sorted(dnf.clauses, key=lambda c: sorted(map(str, c)))
-    weights = []
-    for c in clauses:
-        w = 1.0
-        # Sorted so the rounding order (and hence the weight's last bits)
-        # does not depend on the process's hash seed.
-        for v in sorted(c):
-            w *= probs[v]
-        weights.append(w)
+    clauses = _canonical_clauses(dnf)
+    weights = _clause_weights(clauses, probs)
     total = sum(weights)
     if total == 0.0:
         return 0.0

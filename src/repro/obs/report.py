@@ -291,7 +291,6 @@ def build_explain_report(
     query: ConjunctiveQuery,
     *,
     join_order: list[str] | None = None,
-    engine: str = "columnar",
     workers: int | None = None,
     dpll_max_calls: int = 5_000_000,
     registry: MetricsRegistry | None = None,
@@ -344,14 +343,13 @@ def build_explain_report(
         # the per-slice engines are read from the solve's own spans
         with Tracer():
             return build_explain_report(
-                db, query, join_order=join_order, engine=engine,
-                workers=workers, dpll_max_calls=dpll_max_calls,
-                registry=registry, budget=budget,
+                db, query, join_order=join_order, workers=workers,
+                dpll_max_calls=dpll_max_calls, registry=registry, budget=budget,
                 circuit_cache=circuit_cache, top_k=top_k,
             )
-    evaluator = PartialLineageEvaluator(db, engine=engine, workers=workers)
+    evaluator = PartialLineageEvaluator(db, workers=workers)
     plan = left_deep_plan(query, join_order)
-    with span("explain", query=str(query), engine=engine):
+    with span("explain", query=str(query)):
         start = time.perf_counter()
         result = evaluator.evaluate(plan)
         eval_seconds = time.perf_counter() - start
@@ -486,7 +484,7 @@ def build_explain_report(
             # of what the (possibly budgeted) loop above already measured,
             # and the section exists to compare wall-clocks, not to race a
             # deadline that the first pass may have spent already.
-            bounds = DissociationEvaluator(db, engine=engine).evaluate(plan)
+            bounds = DissociationEvaluator(db).evaluate(plan)
             cert = certified_top_k(
                 result, bounds, top_k, dpll_max_calls=dpll_max_calls,
             )
@@ -532,7 +530,7 @@ def build_explain_report(
         registry.absorb(f"operator.{stat.operator}", stat)
     registry.absorb("cache", cache.stats)
     registry.gauge("network.nodes", len(result.network))
-    registry.gauge("engine", engine)
+    registry.gauge("engine", result.engine)
     registry.inc("offending", result.offending_count)
     registry.gauge("eval.seconds", eval_seconds)
     registry.gauge("inference.seconds", inference_seconds)
@@ -541,7 +539,7 @@ def build_explain_report(
         query=str(query),
         plan=explain_plan(plan, db),
         join_order=join_order,
-        engine=engine,
+        engine=result.engine,
         workers=workers,
         answers=len(answers),
         network_nodes=len(result.network),

@@ -294,12 +294,9 @@ def _sampling_rung(
     half_log = math.log(2.0 / SAMPLING_DELTA) / 2.0
     started = perf_counter()
     if dnf is not None:
-        from repro.lineage.sampling import karp_luby
+        from repro.lineage.sampling import karp_luby, union_weight
 
-        scale = min(
-            float(len(dnf)),
-            sum(math.prod(probs[v] for v in c) for c in dnf.clauses),
-        )
+        scale = min(float(len(dnf)), union_weight(dnf, probs))
         est = karp_luby(dnf, probs, samples, rng)
         eps = scale * math.sqrt(half_log / samples)
         method = "karp-luby"

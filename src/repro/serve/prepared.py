@@ -54,8 +54,6 @@ class PreparedQuery:
     optimize:
         When true (and no explicit order given), cost join orders once at
         prepare time with :func:`~repro.core.optimizer.choose_join_order`.
-    engine:
-        Operator backend (``"columnar"`` or ``"rows"``).
     """
 
     def __init__(
@@ -66,14 +64,12 @@ class PreparedQuery:
         *,
         join_order: list[str] | None = None,
         optimize: bool = False,
-        engine: str = "columnar",
     ) -> None:
         self.name = name
         self.text = text
-        self.engine = engine
         self.query = parse_query(text)
         if join_order is None and optimize:
-            join_order = list(choose_join_order(self.query, db, engine=engine).order)
+            join_order = list(choose_join_order(self.query, db).order)
         self.join_order = list(join_order) if join_order else None
         self.plan = left_deep_plan(self.query, self.join_order)
         #: Shared final-inference cache; thread-safe, survives across requests.
@@ -83,7 +79,7 @@ class PreparedQuery:
         # The evaluator wires the circuit cache into the root db's mutation
         # hooks, so transactional commits (and direct adds) flush it.
         self._evaluator = PartialLineageEvaluator(
-            db, engine=engine, circuit_cache=self.circuit_cache
+            db, circuit_cache=self.circuit_cache
         )
         self._lock = threading.Lock()
         self._seen_version = db.version
@@ -115,7 +111,6 @@ class PreparedQuery:
             "name": self.name,
             "query": self.text,
             "join_order": self.join_order,
-            "engine": self.engine,
             "requests": self.requests,
             "infer_cache": self.infer_cache.stats.as_dict(),
             "circuit_cache": self.circuit_cache.as_dict(),

@@ -65,8 +65,6 @@ class Server:
         isolation but never correctness of already-captured snapshots).
     policy:
         The scheduler's :class:`~repro.serve.scheduler.AdmissionPolicy`.
-    engine:
-        Operator backend for prepared statements.
     default_deadline:
         Deadline (seconds) applied to requests that bring none; ``None``
         leaves them unbudgeted (and thus unreapable).
@@ -87,7 +85,6 @@ class Server:
         db: ProbabilisticDatabase,
         *,
         policy: AdmissionPolicy | None = None,
-        engine: str = "columnar",
         registry: MetricsRegistry | None = None,
         default_deadline: float | None = None,
         budget_template: QueryBudget | None = None,
@@ -95,7 +92,6 @@ class Server:
         seed: int = 0,
     ) -> None:
         self.db = db
-        self.engine = engine
         self.registry = registry if registry is not None else MetricsRegistry()
         self.policy = policy or AdmissionPolicy()
         self.scheduler = Scheduler(self.policy, self.registry)
@@ -120,7 +116,7 @@ class Server:
         """Register (or replace) a prepared statement; returns its summary."""
         statement = PreparedQuery(
             name, text, self.db,
-            join_order=join_order, optimize=optimize, engine=self.engine,
+            join_order=join_order, optimize=optimize,
         )
         self.prepared[name] = statement
         self.registry.inc("serve.prepared")
@@ -138,7 +134,7 @@ class Server:
         if text is None:
             raise ValueError("query request needs 'prepared' or 'query'")
         # Ad-hoc text: full prepare cost, no registration, no warm reuse.
-        return PreparedQuery("<adhoc>", text, self.db, engine=self.engine)
+        return PreparedQuery("<adhoc>", text, self.db)
 
     # -------------------------------------------------------------- queries
     def _request_budget(self, deadline: float | None) -> QueryBudget | None:
@@ -316,9 +312,7 @@ class Server:
         }
 
     def _bounds_payload(self, statement, snapshot) -> dict:
-        bounds = DissociationEvaluator(
-            snapshot, engine=self.engine
-        ).evaluate(statement.plan)
+        bounds = DissociationEvaluator(snapshot).evaluate(statement.plan)
         inexact = sum(1 for b in bounds.bounds.values() if b.width > 0.0)
         return {
             "answers": protocol.answers_payload(bounds.bounds),

@@ -50,6 +50,23 @@ def _cols(attrs: Sequence[str], prefix: str = "") -> str:
     return ", ".join(f"{p}{_q(a)}" for a in attrs)
 
 
+def _sql_list(*parts: str) -> str:
+    """Comma-join the non-empty parts of a SELECT / GROUP BY list.
+
+    Attribute lists may be empty (a Boolean query, a scan binding only
+    constants), and ``_cols(())`` is ``""``: joining only the non-empty
+    parts never produces a dangling ``SELECT , ...``.
+    """
+    return ", ".join(p for p in parts if p)
+
+
+def _renamed(base_cols: Sequence[str], var_first: dict[str, int]) -> str:
+    """``col AS var`` for every variable a scan binds (``""`` for none)."""
+    return ", ".join(
+        f"{_q(base_cols[i])} AS {_q(v)}" for v, i in var_first.items()
+    )
+
+
 #: Comparison operators as SQLite spells them (``==`` / ``!=`` normalised).
 _SQL_OPS = {"==": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
@@ -133,7 +150,7 @@ class SQLitePartialLineageEvaluator:
         self, table: str, attrs: tuple[str, ...], network: AndOrNetwork
     ) -> PLRelation:
         rel = PLRelation(attrs, network, name=table)
-        sel = _cols(attrs) + ", l, p" if attrs else "l, p"
+        sel = _sql_list(_cols(attrs), "l, p")
         for row in self._conn.execute(f"SELECT {sel} FROM {_q(table)}"):
             *values, l, p = row
             rel.add(tuple(values), int(l), float(p))
@@ -183,10 +200,10 @@ class SQLitePartialLineageEvaluator:
         out = self._new_table()
         base_cols = base.schema.attributes
         if scan.terms is None:
-            sel = _cols(base_cols)
+            sel = _sql_list(_cols(base_cols), "0 AS l, p")
             self._conn.execute(
                 f"CREATE TEMP TABLE {_q(out)} AS "
-                f"SELECT {sel}, 0 AS l, p FROM {_q(scan.relation)}"
+                f"SELECT {sel} FROM {_q(scan.relation)}"
             )
             return out, base_cols
         if len(scan.terms) != len(base_cols):
@@ -205,13 +222,11 @@ class SQLitePartialLineageEvaluator:
                 where.append(f"{_q(base_cols[i])} = {_q(base_cols[var_first[t.name]])}")
             else:
                 var_first[t.name] = i
-        sel = "".join(
-            f"{_q(base_cols[i])} AS {_q(v)}, " for v, i in var_first.items()
-        )
+        sel = _sql_list(_renamed(base_cols, var_first), "0 AS l, p")
         clause = f" WHERE {' AND '.join(where)}" if where else ""
         self._conn.execute(
             f"CREATE TEMP TABLE {_q(out)} AS "
-            f"SELECT {sel}0 AS l, p FROM {_q(scan.relation)}{clause}",
+            f"SELECT {sel} FROM {_q(scan.relation)}{clause}",
             params,
         )
         return out, tuple(var_first)
@@ -247,15 +262,18 @@ class SQLitePartialLineageEvaluator:
 
         Native math functions when available: ``LN(0)`` is NULL and ``SUM``
         skips NULLs, so certain rows (``p >= 1``) are guarded explicitly;
-        singleton groups pass their value through bit-exactly. Falls back to
-        the Python ``indep_or`` aggregate on math-less builds.
+        singleton groups pass their value through bit-exactly. The fold is
+        floored at the group's largest member (an OR is at least as likely
+        as any of its parts): for subnormal-tiny ``p``, ``1 - p`` rounds to
+        exactly 1 and ``1 - EXP(0)`` would claim probability 0. Falls back
+        to the Python ``indep_or`` aggregate on math-less builds.
         """
         if not self.storage.has_math_functions():
             return f"indep_or({column})"
         return (
             f"CASE WHEN MAX({column} >= 1.0) = 1 THEN 1.0 "
             f"WHEN COUNT(*) = 1 THEN MAX({column}) "
-            f"ELSE MIN(1.0, MAX(0.0, "
+            f"ELSE MIN(1.0, MAX(MAX({column}), "
             f"1.0 - EXP(SUM(LN(1.0 - {column}))))) END"
         )
 
@@ -266,12 +284,11 @@ class SQLitePartialLineageEvaluator:
         attrs = tuple(plan.attributes)
         # Independent project: group by (attrs, l), OR-combine the p column.
         ip = self._new_table()
-        group = (_cols(attrs) + ", l") if attrs else "l"
-        sel = (_cols(attrs) + ", ") if attrs else ""
+        group = _sql_list(_cols(attrs), "l")
+        sel = _sql_list(group, f"{self._or_fold_sql()} AS p")
         self._conn.execute(
             f"CREATE TEMP TABLE {_q(ip)} AS "
-            f"SELECT {sel}l, {self._or_fold_sql()} AS p FROM {_q(child)} "
-            f"GROUP BY {group}"
+            f"SELECT {sel} FROM {_q(child)} GROUP BY {group}"
         )
         # Deduplication: single-member groups pass through in SQL; duplicate
         # groups get a SQL-side group id, so only (gid, l, p) integer/float
@@ -320,9 +337,10 @@ class SQLitePartialLineageEvaluator:
             self._conn.executemany(
                 f"INSERT INTO {_q(gmap)} VALUES (?, ?)", gates
             )
+            sel = _sql_list(_cols(attrs, "d"), "g.node, 1.0")
             self._conn.execute(
-                f"INSERT INTO {_q(out)} SELECT {_cols(attrs, 'd')}, g.node, "
-                f"1.0 FROM {_q(dup)} d JOIN {_q(gmap)} g ON g.gid = d.rowid"
+                f"INSERT INTO {_q(out)} SELECT {sel} "
+                f"FROM {_q(dup)} d JOIN {_q(gmap)} g ON g.gid = d.rowid"
             )
         else:
             rows = self._conn.execute(f"SELECT l, p FROM {_q(ip)}").fetchall()
@@ -350,7 +368,7 @@ class SQLitePartialLineageEvaluator:
         leaf (or a single-parent And gate if it already carries lineage) and
         becomes deterministic in place.
         """
-        value_cols = (_cols(attrs, "t") + ", ") if attrs else ""
+        sel = _sql_list(_cols(attrs, "t"), "t.rowid, t.l, t.p")
         if not on:
             # A cross product offends every uncertain tuple when the other
             # side has more than one row.
@@ -360,14 +378,13 @@ class SQLitePartialLineageEvaluator:
             if partners <= 1:
                 return 0
             rows = self._conn.execute(
-                f"SELECT {value_cols}t.rowid, t.l, t.p FROM {_q(table)} t "
-                f"WHERE t.p < 1.0"
+                f"SELECT {sel} FROM {_q(table)} t WHERE t.p < 1.0"
             ).fetchall()
         else:
             keys = _cols(on)
             on_clause = " AND ".join(f"t.{_q(a)} = g.{_q(a)}" for a in on)
             rows = self._conn.execute(
-                f"SELECT {value_cols}t.rowid, t.l, t.p FROM {_q(table)} t "
+                f"SELECT {sel} FROM {_q(table)} t "
                 f"JOIN (SELECT {keys}, COUNT(*) AS c FROM {_q(other)} "
                 f"GROUP BY {keys}) g ON {on_clause} "
                 f"WHERE t.p < 1.0 AND g.c > 1"
@@ -404,8 +421,13 @@ class SQLitePartialLineageEvaluator:
         keep = tuple(a for a in rattrs if a not in set(on))
         out_attrs = lattrs + keep
         out = self._new_table()
-        lsel = _cols(lattrs, "L")
-        ksel = (", " + _cols(keep, "R")) if keep else ""
+        sel = _sql_list(
+            _cols(lattrs, "L"),
+            _cols(keep, "R"),
+            "CASE WHEN L.l = 0 OR R.l = 0 THEN L.l + R.l ELSE -1 END AS l",
+            "CASE WHEN L.l = 0 OR R.l = 0 THEN L.p * R.p ELSE -1.0 END AS p",
+            "L.l AS l1, L.p AS p1, R.l AS l2, R.p AS p2",
+        )
         on_clause = (
             " AND ".join(f"L.{_q(a)} = R.{_q(a)}" for a in on) if on else "1 = 1"
         )
@@ -414,11 +436,7 @@ class SQLitePartialLineageEvaluator:
         # probabilities multiply. Symbolic×symbolic pairs get And gates below.
         self._conn.execute(
             f"CREATE TEMP TABLE {_q(out)} AS "
-            f"SELECT {lsel}{ksel}, "
-            f"CASE WHEN L.l = 0 OR R.l = 0 THEN L.l + R.l ELSE -1 END AS l, "
-            f"CASE WHEN L.l = 0 OR R.l = 0 THEN L.p * R.p ELSE -1.0 END AS p, "
-            f"L.l AS l1, L.p AS p1, R.l AS l2, R.p AS p2 "
-            f"FROM {_q(ltable)} L JOIN {_q(rtable)} R ON {on_clause}"
+            f"SELECT {sel} FROM {_q(ltable)} L JOIN {_q(rtable)} R ON {on_clause}"
         )
         hard = self._conn.execute(
             f"SELECT rowid, l1, p1, l2, p2 FROM {_q(out)} WHERE l = -1"
@@ -462,7 +480,7 @@ class SQLitePartialLineageEvaluator:
         start = time.perf_counter()
         with _span("dissociation", engine="sql"):
             table, attrs = self._bounds_eval(plan)
-            sel = (_cols(attrs) + ", pup, plo") if attrs else "pup, plo"
+            sel = _sql_list(_cols(attrs), "pup, plo")
             rows = self._conn.execute(f"SELECT {sel} FROM {_q(table)}").fetchall()
         bounds = {
             tuple(values): Enclosure.clamped(plo, pup, "dissociation")
@@ -534,9 +552,10 @@ class SQLitePartialLineageEvaluator:
         out = self._new_table()
         base_cols = base.schema.attributes
         if scan.terms is None:
+            sel = _sql_list(_cols(base_cols), "p AS pup, p AS plo")
             self._conn.execute(
-                f"CREATE TEMP TABLE {_q(out)} AS SELECT {_cols(base_cols)}, "
-                f"p AS pup, p AS plo FROM {_q(scan.relation)}"
+                f"CREATE TEMP TABLE {_q(out)} AS "
+                f"SELECT {sel} FROM {_q(scan.relation)}"
             )
             return out, base_cols
         if len(scan.terms) != len(base_cols):
@@ -557,13 +576,11 @@ class SQLitePartialLineageEvaluator:
                 )
             else:
                 var_first[t.name] = i
-        sel = "".join(
-            f"{_q(base_cols[i])} AS {_q(v)}, " for v, i in var_first.items()
-        )
+        sel = _sql_list(_renamed(base_cols, var_first), "p AS pup, p AS plo")
         clause = f" WHERE {' AND '.join(where)}" if where else ""
         self._conn.execute(
             f"CREATE TEMP TABLE {_q(out)} AS "
-            f"SELECT {sel}p AS pup, p AS plo FROM {_q(scan.relation)}{clause}",
+            f"SELECT {sel} FROM {_q(scan.relation)}{clause}",
             params,
         )
         return out, tuple(var_first)
@@ -601,7 +618,7 @@ class SQLitePartialLineageEvaluator:
         (``plo' = 1 - (1 - plo)^(1/c)``) keeps the downstream extensional
         fold a sound lower bound.
         """
-        vals = (_cols(attrs, "t") + ", ") if attrs else ""
+        vals = _cols(attrs, "t")
         if not on:
             (partners,) = self._conn.execute(
                 f"SELECT COUNT(*) FROM {_q(other)}"
@@ -614,10 +631,14 @@ class SQLitePartialLineageEvaluator:
             self._dissociated += n
             _add("dissociated", n)
             out = self._new_table()
+            sel = _sql_list(
+                vals,
+                "t.pup AS pup",
+                "CASE WHEN t.plo < 1.0 "
+                "THEN 1.0 - POWER(1.0 - t.plo, 1.0 / ?) ELSE t.plo END AS plo",
+            )
             self._conn.execute(
-                f"CREATE TEMP TABLE {_q(out)} AS SELECT {vals}t.pup AS pup, "
-                f"CASE WHEN t.plo < 1.0 "
-                f"THEN 1.0 - POWER(1.0 - t.plo, 1.0 / ?) ELSE t.plo END AS plo "
+                f"CREATE TEMP TABLE {_q(out)} AS SELECT {sel} "
                 f"FROM {_q(table)} t",
                 (float(partners),),
             )
@@ -636,10 +657,14 @@ class SQLitePartialLineageEvaluator:
         out = self._new_table()
         # LEFT JOIN: partnerless rows keep plo (NULL fan-out falls to ELSE)
         # and drop at the join anyway.
+        sel = _sql_list(
+            vals,
+            "t.pup AS pup",
+            "CASE WHEN g.c > 1 AND t.plo < 1.0 "
+            "THEN 1.0 - POWER(1.0 - t.plo, 1.0 / g.c) ELSE t.plo END AS plo",
+        )
         self._conn.execute(
-            f"CREATE TEMP TABLE {_q(out)} AS SELECT {vals}t.pup AS pup, "
-            f"CASE WHEN g.c > 1 AND t.plo < 1.0 "
-            f"THEN 1.0 - POWER(1.0 - t.plo, 1.0 / g.c) ELSE t.plo END AS plo "
+            f"CREATE TEMP TABLE {_q(out)} AS SELECT {sel} "
             f"FROM {_q(table)} t LEFT JOIN {fanout} g ON {on_clause}"
         )
         return out
@@ -653,14 +678,16 @@ class SQLitePartialLineageEvaluator:
         keep = tuple(a for a in rattrs if a not in set(on))
         out_attrs = lattrs + keep
         out = self._new_table()
-        lsel = (_cols(lattrs, "L") + ", ") if lattrs else ""
-        ksel = (_cols(keep, "R") + ", ") if keep else ""
+        sel = _sql_list(
+            _cols(lattrs, "L"),
+            _cols(keep, "R"),
+            "L.pup * R.pup AS pup, L.plo * R.plo AS plo",
+        )
         on_clause = (
             " AND ".join(f"L.{_q(a)} = R.{_q(a)}" for a in on) if on else "1 = 1"
         )
         self._conn.execute(
-            f"CREATE TEMP TABLE {_q(out)} AS SELECT {lsel}{ksel}"
-            f"L.pup * R.pup AS pup, L.plo * R.plo AS plo "
+            f"CREATE TEMP TABLE {_q(out)} AS SELECT {sel} "
             f"FROM {_q(lsplit)} L JOIN {_q(rsplit)} R ON {on_clause}"
         )
         return out, out_attrs

@@ -15,16 +15,22 @@ from repro.errors import SchemaError
 
 
 class _IndepOr:
-    """SQLite aggregate: ``1 - product(1 - p)`` over the group's ``p`` values."""
+    """SQLite aggregate: ``1 - product(1 - p)`` over the group's ``p`` values.
+
+    Floored at the largest member: subnormal-tiny ``p`` round ``1 - p`` to
+    exactly 1, and the fold would otherwise return 0 for a non-empty OR.
+    """
 
     def __init__(self) -> None:
         self.failure = 1.0
+        self.top = 0.0
 
     def step(self, p: float) -> None:
         self.failure *= 1.0 - p
+        self.top = max(self.top, p)
 
     def finalize(self) -> float:
-        return 1.0 - self.failure
+        return min(1.0, max(self.top, 1.0 - self.failure))
 
 
 class SQLiteStorage:

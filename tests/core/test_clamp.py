@@ -2,22 +2,28 @@
 
 The fold must never leave ``[0, 1]``: a probability of ``1 + 1e-17`` fails
 :meth:`PLRelation.add`'s range check and would otherwise poison every
-inference downstream. The row engine folds pairwise, the columnar engine in
-log space through ``expm1`` — both are exercised on the adversarial inputs
-(many near-1 factors, many subnormal-tiny factors, exact 1.0) where float
-rounding gets closest to the boundary.
+inference downstream, and a non-empty OR folded to exactly 0 fails it too.
+The columnar kernels fold in log space through ``log1p``/``expm1``, the
+SQLite backend through ``1 - EXP(SUM(LN(1 - p)))`` — both are exercised on
+the adversarial inputs (many near-1 factors, many subnormal-tiny factors,
+exact 1.0) where float rounding gets closest to the boundary.
 """
 
 import random
 
 import pytest
 
+from repro.core.columnar import (
+    ValueInterner,
+    from_plrelation,
+    independent_project,
+)
 from repro.core.executor import PartialLineageEvaluator
 from repro.core.network import EPSILON, AndOrNetwork
-from repro.core.operators import independent_project
 from repro.core.plrelation import PLRelation
 from repro.db import ProbabilisticDatabase
 from repro.query.parser import parse_query
+from repro.sqlbackend import SQLitePartialLineageEvaluator
 
 NASTY_PROBS = [
     [1.0 - 1e-16] * 60,
@@ -33,9 +39,11 @@ def row_fold(probs: list[float]) -> float:
     rel = PLRelation(("A", "B"), net)
     for i, p in enumerate(probs):
         rel.add((1, i), EPSILON, p)
-    projected = independent_project(rel, ("A",))
-    assert len(projected) == 1
-    return projected[0][2]
+    projected = independent_project(
+        from_plrelation(rel, ValueInterner()), ("A",)
+    )
+    assert len(projected.probs) == 1
+    return float(projected.probs[0])
 
 
 @pytest.mark.parametrize("probs", NASTY_PROBS)
@@ -51,14 +59,19 @@ def test_engines_agree_on_nasty_folds(probs):
         "R", ("A", "B"), {(1, i): p for i, p in enumerate(probs)}
     )
     q = parse_query("q(x) :- R(x,y)")
-    by_engine = {}
-    for engine in ("rows", "columnar"):
-        result = PartialLineageEvaluator(db, engine=engine).evaluate_query(q)
-        answers = result.answer_probabilities()
-        for p in answers.values():
-            assert 0.0 <= p <= 1.0
-        by_engine[engine] = answers
-    assert by_engine["rows"] == pytest.approx(by_engine["columnar"])
+    sql = SQLitePartialLineageEvaluator(db)
+    try:
+        by_engine = {
+            "columnar": PartialLineageEvaluator(db).evaluate_query(q),
+            "sqlite": sql.evaluate_query(q),
+        }
+    finally:
+        sql.close()
+    answers = {k: r.answer_probabilities() for k, r in by_engine.items()}
+    for engine_answers in answers.values():
+        for p in engine_answers.values():
+            assert 0.0 < p <= 1.0
+    assert answers["sqlite"] == pytest.approx(answers["columnar"])
 
 
 def test_fold_of_a_deterministic_member_is_one():

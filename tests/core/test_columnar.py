@@ -1,11 +1,11 @@
-"""Unit tests for the columnar execution backend.
+"""Unit tests for the columnar pL operators (Section 5.3).
 
-The columnar kernels must be drop-in replacements for the row operators:
-same rows, same probabilities (to float round-off), and — because every
-kernel preserves the row engine's node-allocation order — the *same* network,
-node for node. The tests here check each piece in isolation on hand-built
-relations; ``tests/property/test_columnar_engine.py`` does the same on
-random databases and plans.
+Each kernel is checked on hand-built relations against the values the
+paper's definitions give: the rows kept, their lineage nodes and
+probabilities, and the network nodes allocated. The distribution-level
+theorems live in ``tests/core/test_operators.py``; random databases and
+plans are checked against the SQLite backend and possible worlds in
+``tests/property``.
 """
 
 from __future__ import annotations
@@ -14,24 +14,24 @@ import numpy as np
 import pytest
 
 from repro.core import columnar
-from repro.core.columnar import ColumnarPLRelation, ValueInterner
-from repro.core.executor import PartialLineageEvaluator
-from repro.core.network import EPSILON, AndOrNetwork, NodeKind
-from repro.core.operators import (
+from repro.core.columnar import (
+    ColumnarPLRelation,
+    ValueInterner,
     condition,
     cset,
-    deduplicate,
     independent_project,
-    pl_join,
     pl_join_raw,
     project,
     select_eq,
     select_where,
 )
+from repro.core.executor import PartialLineageEvaluator
+from repro.core.network import EPSILON, AndOrNetwork, NodeKind
 from repro.core.plrelation import PLRelation
 from repro.db import ProbabilisticDatabase
-from repro.errors import PlanError, ProbabilityError, SchemaError
+from repro.errors import ProbabilityError, SchemaError
 from repro.query.parser import parse_query
+from repro.sqlbackend import SQLitePartialLineageEvaluator
 
 
 def assert_networks_equal(a: AndOrNetwork, b: AndOrNetwork, tol=1e-12):
@@ -49,43 +49,28 @@ def assert_networks_equal(a: AndOrNetwork, b: AndOrNetwork, tol=1e-12):
                 assert qa == pytest.approx(qb, abs=tol)
 
 
-def make_pair(rows, attrs=("A", "B"), name="R", leaves=0):
-    """The same relation twice: row-backed and columnar, separate networks.
+def make_rel(rows, attrs=("A", "B"), name="R", leaves=0):
+    """A columnar relation over a fresh network and interner.
 
-    *leaves* pre-seeds both networks with that many leaf nodes so rows may
-    reference non-ε lineage.
+    *leaves* pre-seeds the network with that many leaf nodes (ids
+    ``1..leaves``) so rows may reference non-ε lineage.
     """
-    net_r, net_c = AndOrNetwork(), AndOrNetwork()
-    for i in range(leaves):
-        net_r.add_leaf(0.5)
-        net_c.add_leaf(0.5)
-    row_rel = PLRelation(attrs, net_r, name=name)
+    net = AndOrNetwork()
+    for _ in range(leaves):
+        net.add_leaf(0.5)
+    rel = PLRelation(attrs, net, name=name)
     for r, l, p in rows:
-        row_rel.add(r, l, p)
-    interner = ValueInterner()
-    col_rel = ColumnarPLRelation(
-        attrs,
-        net_c,
-        interner,
-        np.array(
-            [[interner.intern(v) for v in r] for r, _, _ in rows],
-            dtype=np.int64,
-        ).reshape(len(rows), len(attrs)),
-        np.array([l for _, l, _ in rows], dtype=np.int64),
-        np.array([p for _, _, p in rows], dtype=np.float64),
-        name=name,
-    )
-    return row_rel, col_rel
+        rel.add(r, l, p)
+    return columnar.from_plrelation(rel, ValueInterner())
 
 
-def assert_same_relation(row_rel, col_rel, tol=1e-12):
-    assert col_rel.attributes == tuple(row_rel.attributes)
-    assert len(col_rel) == len(row_rel)
-    got = list(col_rel.items())
-    want = list(row_rel.items())
-    assert [r for r, _, _ in got] == [r for r, _, _ in want]
-    assert [l for _, l, _ in got] == [l for _, l, _ in want]
-    for (_, _, pg), (_, _, pw) in zip(got, want):
+def assert_items(rel, expected, tol=1e-12):
+    """*rel* holds exactly the ``(row, lineage, probability)`` triples of
+    *expected*, in that order."""
+    got = list(rel.items())
+    assert [r for r, _, _ in got] == [r for r, _, _ in expected]
+    assert [l for _, l, _ in got] == [l for _, l, _ in expected]
+    for (_, _, pg), (_, _, pw) in zip(got, expected):
         assert pg == pytest.approx(pw, abs=tol)
 
 
@@ -239,135 +224,102 @@ class TestBulkNetworkAPI:
 # ----------------------------------------------------------------- operators
 class TestColumnarOperators:
     def test_select_eq(self):
-        row_rel, col_rel = make_pair(ROWS)
-        assert_same_relation(
-            select_eq(row_rel, {"A": 1}), select_eq(col_rel, {"A": 1})
-        )
+        assert_items(select_eq(make_rel(ROWS), {"A": 1}), ROWS[:2])
 
     def test_select_eq_unseen_value_is_empty(self):
-        _, col_rel = make_pair(ROWS)
+        col_rel = make_rel(ROWS)
         assert len(select_eq(col_rel, {"A": 777})) == 0
 
     def test_select_eq_unknown_attribute(self):
-        _, col_rel = make_pair(ROWS)
+        col_rel = make_rel(ROWS)
         with pytest.raises(SchemaError):
             select_eq(col_rel, {"Z": 1})
 
     def test_select_where_fallback(self):
-        row_rel, col_rel = make_pair(ROWS)
         pred = lambda row: row[1] >= 20
-        assert_same_relation(
-            select_where(row_rel, pred), select_where(col_rel, pred)
+        assert_items(
+            select_where(make_rel(ROWS), pred), [ROWS[1], ROWS[3]]
         )
 
     def test_project_merges_and_deduplicates(self):
         rows = ROWS + [((3, 10), 5, 0.5), ((3, 40), 6, 0.5)]
-        row_rel, col_rel = make_pair(rows, leaves=6)
-        assert_same_relation(
-            project(row_rel, ["A"]), project(col_rel, ["A"])
+        col_rel = make_rel(rows, leaves=6)
+        net = col_rel.network
+        out = project(col_rel, ["A"])
+        # A=1: one (value, ε) group, 1-(1-.5)(1-1) = 1; A=2: 1-.75·.25;
+        # A=3: two lineages, so one Or gate carries both members.
+        gate = len(net) - 1
+        assert_items(
+            out,
+            [((1,), EPSILON, 1.0), ((2,), EPSILON, 0.8125), ((3,), gate, 1.0)],
         )
-        assert_networks_equal(row_rel.network, col_rel.network)
+        assert net.kind(gate) is NodeKind.OR
+        assert net.parents(gate) == ((5, 0.5), (6, 0.5))
 
     def test_independent_project_groups_by_value_and_lineage(self):
-        row_rel, col_rel = make_pair(ROWS)
+        rows = ROWS + [((1, 30), 1, 0.5)]
+        col_rel = make_rel(rows, leaves=1)
         got = independent_project(col_rel, ["A"])
-        want = independent_project(row_rel, ["A"])
-        assert len(got.lineage) == len(want)
-        for (wrow, wl, wp), crow, cl, cp in zip(
-            want,
-            [
-                tuple(col_rel.interner.decode_column(c))
-                for c in got.codes
-            ],
-            got.lineage.tolist(),
-            got.probs.tolist(),
-        ):
-            assert (wrow, wl) == (crow, cl)
-            assert cp == pytest.approx(wp, abs=1e-12)
+        decoded = [
+            tuple(col_rel.interner.decode_column(c)) for c in got.codes
+        ]
+        assert decoded == [(1,), (2,), (1,)]
+        assert got.lineage.tolist() == [EPSILON, EPSILON, 1]
+        assert got.probs.tolist() == pytest.approx([1.0, 0.8125, 0.5])
+        assert len(col_rel.network) == 2  # no new nodes
 
     def test_deduplicate_empty(self):
-        row_rel, col_rel = make_pair([])
-        assert_same_relation(
-            project(row_rel, ["A"]), project(col_rel, ["A"])
-        )
+        out = project(make_rel([]), ["A"])
+        assert out.attributes == ("A",)
+        assert len(out) == 0
 
     def test_condition_rows_and_mask(self):
-        row_rel, col_rel = make_pair(ROWS)
         targets = [(1, 10), (2, 30)]
-        rec_r, rec_c = [], []
-        out_r = condition(
-            row_rel, targets, lambda n, s, r: rec_r.append((n, s, r))
-        )
-        out_c = condition(
-            col_rel, targets, lambda n, s, r: rec_c.append((n, s, r))
-        )
-        assert_same_relation(out_r, out_c)
-        assert rec_r == rec_c
-        assert_networks_equal(row_rel.network, col_rel.network)
+        by_rows, by_mask = make_rel(ROWS), make_rel(ROWS)
+        records = {"rows": [], "mask": []}
+        outs = {
+            "rows": condition(
+                by_rows, targets,
+                lambda n, s, r: records["rows"].append((n, s, r)),
+            ),
+            "mask": condition(
+                by_mask, np.array([True, False, False, True]),
+                lambda n, s, r: records["mask"].append((n, s, r)),
+            ),
+        }
+        for key, out in outs.items():
+            # Each uncertain ε-row gets a fresh leaf, in row order.
+            assert_items(out, [
+                ((1, 10), 1, 1.0), ROWS[1], ROWS[2], ((2, 30), 2, 1.0),
+            ])
+            assert records[key] == [(1, "R", (1, 10)), (2, "R", (2, 30))]
+            assert [out.network.leaf_probability(v) for v in (1, 2)] == [
+                0.5, 0.75,
+            ]
 
     def test_condition_absent_row_raises(self):
-        _, col_rel = make_pair(ROWS)
+        col_rel = make_rel(ROWS)
         with pytest.raises(SchemaError):
             columnar.condition(col_rel, [(9, 9)])
 
     def test_cset(self):
-        # Both columnar sides must share one network and interner.
-        net_r, net_c = AndOrNetwork(), AndOrNetwork()
-        interner = ValueInterner()
-        lrows = [((1,), 0.5), ((2,), 1.0)]
-        rrows = [(r, p) for r, _, p in ROWS]
-        lr = PLRelation(("A",), net_r, name="L")
-        rr = PLRelation(("A", "B"), net_r, name="R")
-        for r, p in lrows:
+        # Both sides must share one network and interner.
+        net, interner = AndOrNetwork(), ValueInterner()
+        lr = PLRelation(("A",), net, name="L")
+        rr = PLRelation(("A", "B"), net, name="R")
+        for r, p in [((1,), 0.5), ((2,), 1.0)]:
             lr.add(r, EPSILON, p)
-        for r, p in rrows:
+        for r, _, p in ROWS:
             rr.add(r, EPSILON, p)
         lc = lr.to_columnar(interner)
-        lc.network = net_c
         rc = rr.to_columnar(interner)
-        rc.network = net_c
         # (1,) is uncertain and matches two S-rows; (2,) is deterministic.
-        assert cset(lr, rr, ["A"]) == [(1,)]
         assert cset(lc, rc, ["A"]) == [(1,)]
         assert columnar.cset_mask(lc, rc, ["A"]).tolist() == [True, False]
 
-    def test_pl_join_matches_rows(self):
-        net_r, net_c = AndOrNetwork(), AndOrNetwork()
-        interner = ValueInterner()
-        db_rows_l = [((1,), 0.5), ((2,), 0.9)]
-        db_rows_r = [((1, 10), 0.5), ((1, 20), 0.6), ((2, 30), 1.0)]
-        lr = PLRelation(("A",), net_r, name="L")
-        rr = PLRelation(("A", "B"), net_r, name="R")
-        for r, p in db_rows_l:
-            lr.add(r, EPSILON, p)
-        for r, p in db_rows_r:
-            rr.add(r, EPSILON, p)
-
-        def colrel(attrs, rows, name):
-            return ColumnarPLRelation(
-                attrs,
-                net_c,
-                interner,
-                np.array(
-                    [[interner.intern(v) for v in r] for r, _ in rows],
-                    dtype=np.int64,
-                ).reshape(len(rows), len(attrs)),
-                np.full(len(rows), EPSILON, dtype=np.int64),
-                np.array([p for _, p in rows]),
-                name=name,
-            )
-
-        lc = colrel(("A",), db_rows_l, "L")
-        rc = colrel(("A", "B"), db_rows_r, "R")
-        out_r, cond_r = pl_join(lr, rr, ["A"])
-        out_c, cond_c = pl_join(lc, rc, ["A"])
-        assert cond_r == cond_c == 1
-        assert_same_relation(out_r, out_c)
-        assert_networks_equal(net_r, net_c)
-
     def test_pl_join_raw_requires_shared_network_and_interner(self):
-        _, a = make_pair(ROWS)
-        _, b = make_pair(ROWS)
+        a = make_rel(ROWS)
+        b = make_rel(ROWS)
         with pytest.raises(SchemaError):
             pl_join_raw(a, b, ["A"])
         c = ColumnarPLRelation(
@@ -395,40 +347,33 @@ class TestComparison:
 
     @pytest.mark.parametrize("op", sorted(OPS_ON_B))
     def test_all_ops_match_row_engine(self, op):
-        row_rel, col_rel = make_pair(ROWS)
+        """The compiled mask agrees with evaluating the same comparison
+        row at a time (``select_where``'s callable path) and with Python's
+        own operator on the values."""
+        col_rel = make_rel(ROWS)
         value = 10 if op in ("==", "!=", ">") else 20
         cmp = columnar.Comparison("B", op, value)
         got = select_where(col_rel, cmp)
-        want = select_where(row_rel, cmp)
-        assert_same_relation(want, got)
+        index_of = col_rel.index_of
+        want = select_where(col_rel, lambda row: cmp.matches(row, index_of))
+        assert_items(got, list(want.items()))
         ref = self.OPS_ON_B[op]
-        assert [r for r, _, _ in got.items()] == [
-            r for r, _, _ in ROWS if ref(r[1])
-        ]
+        assert got.rows() == [r for r, _, _ in ROWS if ref(r[1])]
 
     def test_unseen_constant_equal_is_empty(self):
-        row_rel, col_rel = make_pair(ROWS)
         cmp = columnar.Comparison("A", "==", 777)
-        assert len(select_where(col_rel, cmp)) == 0
-        assert len(select_where(row_rel, cmp)) == 0
+        assert len(select_where(make_rel(ROWS), cmp)) == 0
 
     def test_unseen_constant_not_equal_keeps_all(self):
-        row_rel, col_rel = make_pair(ROWS)
         cmp = columnar.Comparison("A", "!=", 777)
-        assert_same_relation(
-            select_where(row_rel, cmp), select_where(col_rel, cmp)
-        )
-        assert len(select_where(col_rel, cmp)) == len(ROWS)
+        assert_items(select_where(make_rel(ROWS), cmp), ROWS)
 
     def test_conjunction_of_comparisons(self):
-        row_rel, col_rel = make_pair(ROWS)
         preds = [
             columnar.Comparison("A", "==", 2),
             columnar.Comparison("B", "<", 30),
         ]
-        got = select_where(col_rel, preds)
-        assert_same_relation(select_where(row_rel, preds), got)
-        assert [r for r, _, _ in got.items()] == [(2, 10)]
+        assert_items(select_where(make_rel(ROWS), preds), [ROWS[2]])
 
     def test_string_ordering(self):
         rows = [
@@ -436,18 +381,15 @@ class TestComparison:
             (("bee", "y"), EPSILON, 0.25),
             (("cat", "z"), EPSILON, 0.75),
         ]
-        row_rel, col_rel = make_pair(rows)
         cmp = columnar.Comparison("A", "<=", "bee")
-        got = select_where(col_rel, cmp)
-        assert_same_relation(select_where(row_rel, cmp), got)
-        assert [r for r, _, _ in got.items()] == [("ant", "x"), ("bee", "y")]
+        assert_items(select_where(make_rel(rows), cmp), rows[:2])
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(SchemaError):
             columnar.Comparison("A", "~", 1)
 
     def test_unknown_attribute_rejected(self):
-        _, col_rel = make_pair(ROWS)
+        col_rel = make_rel(ROWS)
         with pytest.raises(SchemaError):
             select_where(col_rel, columnar.Comparison("Z", "==", 1))
 
@@ -460,7 +402,7 @@ class TestComparison:
     def test_mixed_list_falls_back_to_callable_error(self):
         # a list mixing Comparison with a plain callable is not a compiled
         # conjunction; it must be rejected rather than half-compiled
-        _, col_rel = make_pair(ROWS)
+        col_rel = make_rel(ROWS)
         with pytest.raises(TypeError):
             select_where(col_rel, [columnar.Comparison("A", "==", 1), len])
 
@@ -468,20 +410,24 @@ class TestComparison:
 # ----------------------------------------------------------------- round-trip
 class TestConversions:
     def test_to_columnar_roundtrip(self):
-        row_rel, _ = make_pair(ROWS)
+        row_rel = make_rel(ROWS).to_rows()
         back = row_rel.to_columnar().to_rows()
-        assert_same_relation(back, row_rel.to_columnar())
-        assert list(back.items()) == list(row_rel.items())
+        assert_items(row_rel.to_columnar(), list(back.items()))
+        assert list(back.items()) == list(row_rel.items()) == ROWS
 
     def test_symbolic_helpers(self):
         rows = [((1, 10), EPSILON, 0.5), ((2, 20), 3, 1.0)]
-        _, col_rel = make_pair(rows, leaves=3)
+        col_rel = make_rel(rows, leaves=3)
         assert col_rel.symbolic_rows() == [(2, 20)]
         assert not col_rel.is_purely_extensional()
 
 
 # -------------------------------------------------------------------- engine
 class TestEngineKnob:
+    """The evaluator's columnar pipeline end to end: result shape, the
+    base-encode cache, per-operator timings, and agreement with the SQLite
+    backend."""
+
     def make_db(self):
         db = ProbabilisticDatabase()
         db.add_relation("R", ("A",), {("a1",): 0.5, ("a2",): 0.6})
@@ -499,26 +445,25 @@ class TestEngineKnob:
         db.add_relation("T", ("B",), {("b1",): 1.0, ("b2",): 0.3})
         return db
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(PlanError):
-            PartialLineageEvaluator(self.make_db(), engine="bogus")
-
     def test_engines_build_identical_networks(self):
+        """On this instance the columnar kernels and the SQLite backend
+        allocate the same nodes in the same order."""
         db = self.make_db()
         query = parse_query("q(x) :- R(x), S(x,y), T(y)")
-        res_r = PartialLineageEvaluator(db, engine="rows").evaluate_query(query)
-        res_c = PartialLineageEvaluator(db, engine="columnar").evaluate_query(
-            query
-        )
-        assert_networks_equal(res_r.network, res_c.network)
+        res_c = PartialLineageEvaluator(db).evaluate_query(query)
+        sql = SQLitePartialLineageEvaluator(db)
+        res_s = sql.evaluate_query(query)
+        sql.close()
+        assert res_c.engine == "columnar" and res_s.engine == "sqlite"
+        assert_networks_equal(res_s.network, res_c.network)
         assert [
-            (s.operator, s.output_size, s.conditioned) for s in res_r.stats
+            (s.operator, s.output_size, s.conditioned) for s in res_s.stats
         ] == [(s.operator, s.output_size, s.conditioned) for s in res_c.stats]
         assert [
-            (o.source, o.row, o.node) for o in res_r.conditioned_tuples
+            (o.source, o.row, o.node) for o in res_s.conditioned_tuples
         ] == [(o.source, o.row, o.node) for o in res_c.conditioned_tuples]
         ar, ac = (
-            res_r.answer_probabilities(),
+            res_s.answer_probabilities(),
             res_c.answer_probabilities(),
         )
         assert set(ar) == set(ac)
@@ -528,15 +473,13 @@ class TestEngineKnob:
     def test_columnar_result_relation_is_row_backed(self):
         db = self.make_db()
         query = parse_query("q(x) :- R(x), S(x,y)")
-        res = PartialLineageEvaluator(db, engine="columnar").evaluate_query(
-            query
-        )
+        res = PartialLineageEvaluator(db).evaluate_query(query)
         assert isinstance(res.relation, PLRelation)
 
     def test_base_cache_reused_and_invalidated(self):
         db = self.make_db()
         query = parse_query("q(x) :- R(x), S(x,y)")
-        ev = PartialLineageEvaluator(db, engine="columnar")
+        ev = PartialLineageEvaluator(db)
         first = ev.evaluate_query(query).answer_probabilities()
         assert ev._base_cache
         again = ev.evaluate_query(query).answer_probabilities()
@@ -547,9 +490,6 @@ class TestEngineKnob:
     def test_join_stats_record_wall_time(self):
         db = self.make_db()
         query = parse_query("q(x) :- R(x), S(x,y), T(y)")
-        for engine in ("rows", "columnar"):
-            res = PartialLineageEvaluator(db, engine=engine).evaluate_query(
-                query
-            )
-            assert all(s.seconds >= 0.0 for s in res.stats)
-            assert any(s.seconds > 0.0 for s in res.stats)
+        res = PartialLineageEvaluator(db).evaluate_query(query)
+        assert all(s.seconds >= 0.0 for s in res.stats)
+        assert any(s.seconds > 0.0 for s in res.stats)

@@ -3,10 +3,9 @@ running example (Sections 4.1-4.2, Figure 4)."""
 
 import pytest
 
+from repro.core.columnar import ValueInterner, from_base, pl_join, project
 from repro.core.executor import PartialLineageEvaluator
 from repro.core.network import EPSILON, AndOrNetwork, NodeKind
-from repro.core.operators import pl_join, project
-from repro.core.plrelation import PLRelation
 from repro.db import ProbabilisticDatabase
 from repro.errors import PlanError
 from repro.extensional import lifted_probability, safe_plan
@@ -42,15 +41,16 @@ def test_sec42_partial_lineage_numbers():
     lineage printed in the paper: π_y(R ⋈ S) = {(b1, 0.11r1 ∨ 0.13r2 ∨
     0.10612), (b2, 0.12r1 ∨ 0.14r2)}."""
     db = sec42_database()
-    net = AndOrNetwork()
-    r = PLRelation.from_base(db["R"], net)
-    s = PLRelation.from_base(db["S"], net)
+    net, interner = AndOrNetwork(), ValueInterner()
+    r = from_base(db["R"], net, interner)
+    s = from_base(db["S"], net, interner)
     joined, conditioned = pl_join(r, s, ("A",))
     assert conditioned == 2  # a1 and a2 are the offending tuples
+    projected = project(joined, ("B",)).to_rows()
+    joined = joined.to_rows()
     # the join kept the conditioned variables symbolic and folded the rest
     assert joined.probability(("a3", "b1")) == pytest.approx(0.3 * 0.15)
     assert joined.probability(("a4", "b1")) == pytest.approx(0.4 * 0.16)
-    projected = project(joined, ("B",))
     b1 = projected.lineage(("b1",))
     assert net.kind(b1) is NodeKind.OR
     parents = dict(net.parents(b1))

@@ -3,7 +3,9 @@
 The central checks are distribution-level: each operator's output pL-relation
 must represent exactly the possible-worlds image of its input's distribution
 (Definition 2.1) — Lemma 5.12 for conditioning, Theorem 5.10 for projection,
-Theorem 5.16 for the conditioned join.
+Theorem 5.16 for the conditioned join. Inputs are hand-built row-backed
+:class:`PLRelation` objects converted to the columnar kernels' representation;
+outputs are converted back with ``to_rows()`` and enumerated.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ import math
 
 import pytest
 
-from repro.core.network import EPSILON, AndOrNetwork, NodeKind
-from repro.core.operators import (
+from repro.core.columnar import (
+    ColumnarPLRelation,
+    ValueInterner,
     cset,
     condition,
-    deduplicate,
+    from_plrelation,
     independent_project,
     pl_join,
     pl_join_raw,
@@ -25,18 +28,20 @@ from repro.core.operators import (
     select_eq,
     select_where,
 )
+from repro.core.network import EPSILON, AndOrNetwork, NodeKind
 from repro.core.plrelation import PLRelation
 from repro.errors import SchemaError
 
 
 def joint_distribution(
-    left: PLRelation, right: PLRelation
+    left: ColumnarPLRelation, right: ColumnarPLRelation
 ) -> dict[tuple[frozenset, frozenset], float]:
     """Joint distribution of two pL-relations over one shared network.
 
     Conditioned on a full network assignment ``z``, tuples are independent
     coins; the joint therefore factorises per ``z``.
     """
+    left, right = left.to_rows(), right.to_rows()
     assert left.network is right.network
     net = left.network
     nodes = [v for v in net.nodes() if v != EPSILON]
@@ -72,11 +77,16 @@ def _independent_worlds(rel: PLRelation, z: dict[int, int]):
             yield frozenset(world), p
 
 
-def relation_with(net: AndOrNetwork, attrs, rows) -> PLRelation:
+#: One dictionary encoding for every relation built here, so any two of
+#: them can be joined.
+INTERNER = ValueInterner()
+
+
+def relation_with(net: AndOrNetwork, attrs, rows) -> ColumnarPLRelation:
     rel = PLRelation(attrs, net)
     for row, l, p in rows:
         rel.add(row, l, p)
-    return rel
+    return from_plrelation(rel, INTERNER)
 
 
 def assert_distributions_equal(actual: dict, expected: dict) -> None:
@@ -90,9 +100,10 @@ def test_select_eq_keeps_lineage_and_probability():
     net = AndOrNetwork()
     x = net.add_leaf(0.5)
     rel = relation_with(net, ("A", "B"), [((1, 1), x, 1.0), ((2, 1), EPSILON, 0.4)])
-    out = select_eq(rel, {"A": 1})
+    out = select_eq(rel, {"A": 1}).to_rows()
     assert out.rows() == [(1, 1)]
     assert out.lineage((1, 1)) == x
+    assert out.probability((1, 1)) == 1.0
 
 
 def test_select_where_predicate():
@@ -112,10 +123,10 @@ def test_selection_preserves_distribution():
     )
     out = select_where(rel, lambda row: row[0] <= 2)
     expected: dict[frozenset, float] = {}
-    for world, p in rel.distribution().items():
+    for world, p in rel.to_rows().distribution().items():
         image = frozenset(r for r in world if r[0] <= 2)
         expected[image] = expected.get(image, 0.0) + p
-    assert_distributions_equal(out.distribution(), expected)
+    assert_distributions_equal(out.to_rows().distribution(), expected)
 
 
 # ----------------------------------------------------------------- projection
@@ -127,11 +138,11 @@ def test_independent_project_merges_same_lineage():
         ("A", "B"),
         [((1, 1), x, 0.2), ((1, 2), x, 0.3), ((1, 3), EPSILON, 0.4)],
     )
-    rows = independent_project(rel, ("A",))
-    merged = {(l): p for (_, l, p) in rows}
+    projected = independent_project(rel, ("A",))
+    merged = dict(zip(projected.lineage.tolist(), projected.probs.tolist()))
     assert merged[x] == pytest.approx(1 - 0.8 * 0.7)
     assert merged[EPSILON] == pytest.approx(0.4)
-    assert len(rows) == 2
+    assert len(projected.lineage) == 2
     assert len(net) == 2  # no new nodes
 
 
@@ -141,7 +152,7 @@ def test_deduplicate_creates_or_node():
     rel = relation_with(
         net, ("A", "B"), [((1, 1), x, 0.2), ((1, 2), EPSILON, 0.4)]
     )
-    out = project(rel, ("A",))
+    out = project(rel, ("A",)).to_rows()
     assert out.rows() == [(1,)]
     node = out.lineage((1,))
     assert net.kind(node) is NodeKind.OR
@@ -152,7 +163,7 @@ def test_deduplicate_creates_or_node():
 def test_projection_single_member_groups_pass_through():
     net = AndOrNetwork()
     rel = relation_with(net, ("A", "B"), [((1, 1), EPSILON, 0.5)])
-    out = project(rel, ("A",))
+    out = project(rel, ("A",)).to_rows()
     assert out.lineage((1,)) == EPSILON
     assert out.probability((1,)) == 0.5
     assert len(net) == 1
@@ -173,8 +184,8 @@ def test_projection_preserves_distribution():
             ((2, 2), x, 0.9),
         ],
     )
-    input_dist = rel.distribution()
-    out = project(rel, ("A",))
+    input_dist = rel.to_rows().distribution()
+    out = project(rel, ("A",)).to_rows()
     expected: dict[frozenset, float] = {}
     for world, p in input_dist.items():
         image = frozenset((r[0],) for r in world)
@@ -185,7 +196,7 @@ def test_projection_preserves_distribution():
 def test_projection_to_empty_schema():
     net = AndOrNetwork()
     rel = relation_with(net, ("A",), [((1,), EPSILON, 0.5), ((2,), EPSILON, 0.5)])
-    out = project(rel, ())
+    out = project(rel, ()).to_rows()
     assert out.rows() == [()]
     assert out.probability(()) == pytest.approx(0.75)
     assert out.lineage(()) == EPSILON
@@ -195,7 +206,7 @@ def test_projection_to_empty_schema():
 def test_condition_on_trivial_lineage_adds_leaf():
     net = AndOrNetwork()
     rel = relation_with(net, ("A",), [((1,), EPSILON, 0.4), ((2,), EPSILON, 0.6)])
-    out = condition(rel, [(1,)])
+    out = condition(rel, [(1,)]).to_rows()
     node = out.lineage((1,))
     assert net.kind(node) is NodeKind.LEAF
     assert net.leaf_probability(node) == 0.4
@@ -207,8 +218,8 @@ def test_condition_on_trivial_lineage_adds_leaf():
 def test_condition_preserves_distribution_lemma_5_12():
     net = AndOrNetwork()
     rel = relation_with(net, ("A",), [((1,), EPSILON, 0.4), ((2,), EPSILON, 0.6)])
-    before = rel.distribution()
-    out = condition(rel, [(1,)])
+    before = rel.to_rows().distribution()
+    out = condition(rel, [(1,)]).to_rows()
     assert_distributions_equal(out.distribution(), before)
 
 
@@ -217,8 +228,8 @@ def test_condition_on_symbolic_row_preserves_distribution():
     net = AndOrNetwork()
     x = net.add_leaf(0.7)
     rel = relation_with(net, ("A",), [((1,), x, 0.5), ((2,), EPSILON, 0.3)])
-    before = rel.distribution()
-    out = condition(rel, [(1,)])
+    before = rel.to_rows().distribution()
+    out = condition(rel, [(1,)]).to_rows()
     assert out.probability((1,)) == 1.0
     assert net.kind(out.lineage((1,))) is NodeKind.AND
     assert_distributions_equal(out.distribution(), before)
@@ -227,7 +238,7 @@ def test_condition_on_symbolic_row_preserves_distribution():
 def test_condition_deterministic_row_is_noop():
     net = AndOrNetwork()
     rel = relation_with(net, ("A",), [((1,), EPSILON, 1.0)])
-    out = condition(rel, [(1,)])
+    out = condition(rel, [(1,)]).to_rows()
     assert out.lineage((1,)) == EPSILON
     assert len(net) == 1
 
@@ -272,7 +283,7 @@ def test_pl_join_raw_lineage_rules():
     right = relation_with(
         net, ("A", "B"), [((1, 1), y, 0.8), ((2, 1), EPSILON, 0.25)]
     )
-    out = pl_join_raw(left, right, ("A",))
+    out = pl_join_raw(left, right, ("A",)).to_rows()
     # both symbolic -> And gate with the probabilities on the edges
     g = out.lineage((1, 1))
     assert net.kind(g) is NodeKind.AND
@@ -303,6 +314,7 @@ def test_join_preserves_joint_distribution_theorem_5_16():
     )
     joint_before = joint_distribution(left, right)
     out, conditioned = pl_join(left, right, ("A",))
+    out = out.to_rows()
     assert conditioned == 1  # (1,) is uncertain with two partners
     expected: dict[frozenset, float] = {}
     for (lworld, rworld), p in joint_before.items():
@@ -321,13 +333,13 @@ def test_join_without_conditioning_violates_possible_worlds():
     right = relation_with(
         net, ("A", "B"), [((1, 1), EPSILON, 0.5), ((1, 2), EPSILON, 0.5)]
     )
-    raw = pl_join_raw(left, right, ("A",))
+    raw = pl_join_raw(left, right, ("A",)).to_rows()
     both = raw.world_probability({(1, 1), (1, 2)})
     # True probability of both outputs: .5 * .5 * .5 = .125; the unsound
     # extensional reading gives .25 * .25 = .0625.
     assert both == pytest.approx(0.0625)
     safe, _ = pl_join(left, right, ("A",))
-    assert safe.world_probability({(1, 1), (1, 2)}) == pytest.approx(0.125)
+    assert safe.to_rows().world_probability({(1, 1), (1, 2)}) == pytest.approx(0.125)
 
 
 def test_join_on_empty_attrs_is_cross_product():
@@ -335,6 +347,7 @@ def test_join_on_empty_attrs_is_cross_product():
     left = relation_with(net, ("A",), [((1,), EPSILON, 0.5)])
     right = relation_with(net, ("B",), [((7,), EPSILON, 0.5)])
     out, conditioned = pl_join(left, right, ())
+    out = out.to_rows()
     assert conditioned == 0
     assert out.rows() == [(1, 7)]
     assert out.probability((1, 7)) == pytest.approx(0.25)

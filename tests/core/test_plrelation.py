@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.columnar import ValueInterner, from_base
 from repro.core.network import EPSILON, AndOrNetwork, NodeKind
 from repro.core.plrelation import PLRelation
 from repro.db.relation import ProbabilisticRelation
@@ -55,9 +56,10 @@ def test_mixed_relation_distribution_sums_to_one():
 
 
 def test_from_base_lifts_independent_relation():
+    """Example 5.3: an independent relation is a pL-relation with l ≡ ε."""
     base = ProbabilisticRelation.create("R", ("A",), {(1,): 0.5, (2,): 1.0})
     net = AndOrNetwork()
-    rel = PLRelation.from_base(base, net)
+    rel = from_base(base, net, ValueInterner()).to_rows()
     assert rel.attributes == ("A",)
     assert rel.lineage((1,)) == EPSILON
     assert rel.probability((2,)) == 1.0
@@ -88,12 +90,11 @@ def test_add_validation():
         rel.add((1, 2), EPSILON, 0.5)
 
 
-def test_key_and_index_of():
+def test_index_of():
     net = AndOrNetwork()
     rel = PLRelation(("A", "B", "C"), net)
     rel.add((1, 2, 3), EPSILON, 0.5)
     assert rel.index_of("B") == 1
-    assert rel.key((1, 2, 3), ("C", "A")) == (3, 1)
     with pytest.raises(SchemaError):
         rel.index_of("Z")
 

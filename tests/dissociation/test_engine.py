@@ -7,7 +7,6 @@ from repro.core.plan import left_deep_plan
 from repro.db import ProbabilisticDatabase, brute_force_answer_probabilities
 from repro.dissociation import DissociationEvaluator, dissociation_bounds
 from repro.enclosure import Enclosure
-from repro.errors import PlanError
 from repro.query.grounding import answers_in_world
 from repro.query.parser import parse_query
 
@@ -91,38 +90,15 @@ class TestSoundness:
         assert b.width == pytest.approx(0.0, abs=1e-12)
 
 
-class TestEngines:
-    def test_rows_and_columnar_agree(self, rng):
-        for _ in range(15):
-            db = make_rst_database(rng)
-            col = dissociation_bounds(db, Q_HEAD, ["R", "S", "T"])
-            row = dissociation_bounds(
-                db, Q_HEAD, ["R", "S", "T"], engine="rows"
-            )
-            assert set(col.bounds) == set(row.bounds)
-            assert col.dissociated == row.dissociated
-            for key, b in col.bounds.items():
-                other = row.bounds[key]
-                assert b.lower == pytest.approx(other.lower, abs=1e-12)
-                assert b.upper == pytest.approx(other.upper, abs=1e-12)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(PlanError):
-            DissociationEvaluator(ProbabilisticDatabase(), engine="turbo")
-
-
 class TestComparisons:
     def test_filtered_plan_enclosure(self, rng):
         query = parse_query("q(x) :- R(x), S(x,y), T(y), y < 2")
         for _ in range(10):
             db = make_rst_database(rng)
             per_answer = answer_oracle(query, db)
-            for engine in ("columnar", "rows"):
-                res = dissociation_bounds(
-                    db, query, ["R", "S", "T"], engine=engine
-                )
-                for row, p in per_answer.items():
-                    assert res.interval(row).contains(p)
+            res = dissociation_bounds(db, query, ["R", "S", "T"])
+            for row, p in per_answer.items():
+                assert res.interval(row).contains(p)
 
 
 class TestAgainstEvaluator:

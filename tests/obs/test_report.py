@@ -32,8 +32,8 @@ def test_report_matches_direct_evaluation(db):
 
 def test_report_fields_reflect_the_run(db):
     query = parse_query("q(x) :- R(x), S(x,y)")
-    report, _ = build_explain_report(db, query, engine="rows")
-    assert report.engine == "rows"
+    report, _ = build_explain_report(db, query)
+    assert report.engine == "columnar"
     assert report.query == str(query)
     assert "R" in report.plan and "S" in report.plan
     assert report.offending_total >= 1

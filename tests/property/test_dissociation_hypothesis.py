@@ -44,18 +44,9 @@ def exact_answers(db, query):
 @SETTINGS
 def test_bounds_enclose_exact_in_memory(query, db):
     exact = exact_answers(db, query)
-    for engine in ("columnar", "rows"):
-        res = dissociation_bounds(db, query, engine=engine)
-        for row, p in exact.items():
-            assert res.interval(row).contains(p), (str(query), engine, row)
-        # The two folds must also agree with each other to float noise.
-    col = dissociation_bounds(db, query)
-    row_res = dissociation_bounds(db, query, engine="rows")
-    assert set(col.bounds) == set(row_res.bounds), str(query)
-    for key, b in col.bounds.items():
-        other = row_res.bounds[key]
-        assert other.lower == pytest.approx(b.lower, abs=1e-12), str(query)
-        assert other.upper == pytest.approx(b.upper, abs=1e-12), str(query)
+    res = dissociation_bounds(db, query)
+    for row, p in exact.items():
+        assert res.interval(row).contains(p), (str(query), row)
 
 
 @given(random_queries(), random_instances())

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.columnar import ValueInterner, condition, from_plrelation, project
 from repro.core.executor import PartialLineageEvaluator
 from repro.core.network import EPSILON, AndOrNetwork, NodeKind
-from repro.core.operators import condition, pl_join, project
 from repro.core.plrelation import PLRelation
 from repro.db import ProbabilisticDatabase
 from repro.lineage.dnf import DNF, EventVar
@@ -128,7 +128,9 @@ def test_plrelation_distribution_normalised(rel: PLRelation):
 def test_conditioning_preserves_distribution(rel: PLRelation):
     """Lemma 5.12, generalised to symbolic rows, on arbitrary pL-relations."""
     before = rel.distribution()
-    conditioned = condition(rel, rel.rows())
+    conditioned = condition(
+        from_plrelation(rel, ValueInterner()), rel.rows()
+    ).to_rows()
     after = conditioned.distribution()
     for world in before:
         assert after[world] == pytest.approx(before[world], abs=1e-9)
@@ -140,7 +142,7 @@ def test_conditioning_preserves_distribution(rel: PLRelation):
 def test_projection_preserves_distribution(rel: PLRelation):
     """Theorem 5.10 on arbitrary pL-relations."""
     before = rel.distribution()
-    projected = project(rel, ("A",))
+    projected = project(from_plrelation(rel, ValueInterner()), ("A",)).to_rows()
     expected: dict[frozenset, float] = {}
     for world, p in before.items():
         image = frozenset((r[0],) for r in world)

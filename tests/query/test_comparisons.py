@@ -6,6 +6,8 @@ from repro.core.executor import PartialLineageEvaluator
 from repro.core.plan import Filter, Join, Project, Scan, left_deep_plan
 from repro.db import ProbabilisticDatabase, brute_force_answer_probabilities
 from repro.errors import QuerySemanticsError, QuerySyntaxError
+from repro.lineage.dnf import answer_lineages
+from repro.lineage.exact import dnf_probability
 from repro.query.grounding import answers_in_world
 from repro.query.parser import parse_query
 from repro.query.syntax import ComparisonPredicate, Variable
@@ -85,25 +87,31 @@ class TestCorrectness:
             db, lambda w: answers_in_world(query, w)
         )
 
+    def full_lineage(self, query, db):
+        """The intensional baseline: ground every answer's DNF, solve it."""
+        dnfs, probs = answer_lineages(query, db)
+        return {row: dnf_probability(f, probs) for row, f in dnfs.items()}
+
     def test_three_engines_match_the_oracle(self, rng):
+        """Columnar pL kernels, the SQLite pL backend and full lineage."""
         for text, order in self.QUERIES:
             query = parse_query(text)
             for _ in range(8):
                 db = make_rst_database(rng)
                 expected = self.oracle(query, db)
-                for engine in ("columnar", "rows"):
-                    got = PartialLineageEvaluator(
-                        db, engine=engine
-                    ).evaluate_query(query, order).answer_probabilities()
+                ev = SQLitePartialLineageEvaluator(db)
+                sql = ev.evaluate_query(query, order).answer_probabilities()
+                ev.close()
+                for got in (
+                    PartialLineageEvaluator(db).evaluate_query(
+                        query, order
+                    ).answer_probabilities(),
+                    sql,
+                    self.full_lineage(query, db),
+                ):
                     assert set(got) == set(expected)
                     for row, p in expected.items():
                         assert got[row] == pytest.approx(p, abs=1e-9)
-                ev = SQLitePartialLineageEvaluator(db)
-                got = ev.evaluate_query(query, order).answer_probabilities()
-                ev.close()
-                assert set(got) == set(expected)
-                for row, p in expected.items():
-                    assert got[row] == pytest.approx(p, abs=1e-9)
 
     def test_contradictory_filter_empties_the_answers(self):
         db = ProbabilisticDatabase()

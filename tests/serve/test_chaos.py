@@ -42,7 +42,7 @@ def workload():
     for name in STATEMENTS:
         bench = benchmark_query(name)
         plan = left_deep_plan(bench.query, list(bench.join_order))
-        result = PartialLineageEvaluator(db, engine="columnar").evaluate(plan)
+        result = PartialLineageEvaluator(db).evaluate(plan)
         oracles[name] = result.answer_probabilities()
     return db, oracles
 
