@@ -28,13 +28,17 @@ paper proves linear-time, so the representation keeps it in NumPy kernels:
   code, so selections, join-key comparisons, and group-bys are integer
   array operations;
 * ``select_eq`` is a boolean mask; ``independent_project`` groups by
-  (key, lineage) via ``np.unique`` and merges probabilities with a log-space
-  ``1 - Π(1-p)`` grouped reduction; ``deduplicate`` batches whole Or groups
-  into one :meth:`~repro.core.network.AndOrNetwork.add_gates` call; ``cset``
-  is an ``np.unique`` fanout count plus a ``p < 1`` mask; ``condition``
-  bulk-allocates leaves/gates; ``pl_join`` is a sort + ``searchsorted``
-  key join that splits numeric-multiply pairs from gate-needing pairs in one
-  vectorized pass.
+  (key, lineage) via ``np.unique`` and merges probabilities with
+  :func:`or_fold`, a log-space ``1 - Π(1-p)`` grouped reduction;
+  ``deduplicate`` batches whole Or groups into one
+  :meth:`~repro.core.network.AndOrNetwork.add_gates` call; ``condition``
+  bulk-allocates leaves/gates; :func:`match_join` enumerates a join's pairs
+  once (sort + ``searchsorted``) with both sides' partner counts, from
+  which ``pl_join`` reads its cSets and its pairs.
+
+:mod:`repro.dissociation.engine` folds ``(upper, lower)`` vectors through
+the same :class:`BaseScanner`, masks, :func:`match_join` and
+:func:`or_fold`, over the shared key half :class:`CodedRelation`.
 
 Every kernel fixes its *operation order* — first-occurrence group ordering,
 left-major/right-stable match ordering, row-order conditioning — so one plan
@@ -47,6 +51,7 @@ on answers, offending counts and network size.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -56,15 +61,23 @@ from repro.core.network import EPSILON, AndOrNetwork, NodeKind
 from repro.core.plrelation import PLRelation
 from repro.db.relation import ProbabilisticRelation
 from repro.db.schema import Row
-from repro.errors import CapacityError, SchemaError
+from repro.errors import CapacityError, PlanError, SchemaError
 from repro.obs.trace import span as _span
+from repro.query.syntax import Constant
 
 __all__ = [
     "ValueInterner",
+    "CodedRelation",
     "ColumnarPLRelation",
     "ColumnarProjected",
     "Comparison",
+    "BaseScanner",
+    "JoinMatch",
     "from_base",
+    "eq_mask",
+    "where_mask",
+    "match_join",
+    "or_fold",
     "select_eq",
     "select_where",
     "independent_project",
@@ -138,17 +151,7 @@ class ValueInterner:
             ):
                 uniq, inv = np.unique(arr, return_inverse=True)
                 return self._intern_unique(uniq)[inv]
-        out = np.empty(n, dtype=np.int64)
-        codes = self._codes
-        vals = self._values
-        for i, v in enumerate(values):
-            c = codes.get(v)
-            if c is None:
-                c = len(vals)
-                codes[v] = c
-                vals.append(v)
-            out[i] = c
-        return out
+        return np.fromiter(map(self.intern, values), dtype=np.int64, count=n)
 
     def _intern_unique(self, uniq: np.ndarray) -> np.ndarray:
         """Intern a small array of distinct values; returns their codes."""
@@ -181,58 +184,32 @@ class ColumnarProjected:
     probs: np.ndarray  # (rows,) float64
 
 
-class ColumnarPLRelation:
-    """A pL-relation stored column-wise over a shared And-Or network.
-
-    Semantically identical to :class:`~repro.core.plrelation.PLRelation`
-    (Definition 5.2); the representation differs: ``codes`` holds the
-    dictionary-encoded key columns as an ``(n, arity)`` ``int64`` matrix,
-    ``lineage`` the network node per row, ``probs`` the probability column.
-    Row order is insertion order. Every operator of this module consumes and
-    produces this representation; :meth:`to_rows` converts a (small) final
-    result into the row-backed :class:`PLRelation` that results expose.
+class CodedRelation:
+    """The key half of every columnar relation (attribute names, shared
+    :class:`ValueInterner`, ``(n, arity)`` ``int64`` code matrix): all that
+    the masks, :func:`match_join` and the group-bys read. Subclasses add the
+    per-row values: lineage + probability, or dissociation's (upper, lower).
     """
 
-    __slots__ = (
-        "attributes",
-        "network",
-        "interner",
-        "name",
-        "codes",
-        "lineage",
-        "probs",
-        "_positions",
-    )
+    __slots__ = ("attributes", "interner", "name", "codes", "_positions")
 
     def __init__(
         self,
         attributes: Iterable[str],
-        network: AndOrNetwork,
         interner: ValueInterner,
         codes: np.ndarray,
-        lineage: np.ndarray,
-        probs: np.ndarray,
         name: str = "",
     ) -> None:
         self.attributes = tuple(attributes)
         if len(set(self.attributes)) != len(self.attributes):
             raise SchemaError(f"duplicate attributes: {self.attributes}")
-        self.network = network
         self.interner = interner
         self.name = name
         self.codes = codes
-        self.lineage = lineage
-        self.probs = probs
-        if codes.shape != (len(lineage), len(self.attributes)):
-            raise SchemaError(
-                f"code matrix {codes.shape} does not match "
-                f"{len(lineage)} rows x {len(self.attributes)} attributes"
-            )
         self._positions = {a: i for i, a in enumerate(self.attributes)}
 
-    # ------------------------------------------------------------------ access
     def __len__(self) -> int:
-        return len(self.lineage)
+        return self.codes.shape[0]
 
     def index_of(self, attribute: str) -> int:
         """Position of *attribute* in the schema."""
@@ -240,7 +217,7 @@ class ColumnarPLRelation:
             return self._positions[attribute]
         except KeyError:
             raise SchemaError(
-                f"pL-relation {self.name!r} has no attribute {attribute!r}; "
+                f"relation {self.name!r} has no attribute {attribute!r}; "
                 f"attributes are {self.attributes}"
             ) from None
 
@@ -253,6 +230,41 @@ class ColumnarPLRelation:
             self.interner.decode_column(self.codes[:, j]) for j in range(k)
         ]
         return list(zip(*cols))
+
+
+class ColumnarPLRelation(CodedRelation):
+    """A pL-relation stored column-wise over a shared And-Or network.
+
+    Semantically identical to :class:`~repro.core.plrelation.PLRelation`
+    (Definition 5.2); the representation differs: ``codes`` holds the
+    dictionary-encoded key columns as an ``(n, arity)`` ``int64`` matrix,
+    ``lineage`` the network node per row, ``probs`` the probability column.
+    Row order is insertion order. Every operator of this module consumes and
+    produces this representation; :meth:`to_rows` converts a (small) final
+    result into the row-backed :class:`PLRelation` that results expose.
+    """
+
+    __slots__ = ("network", "lineage", "probs")
+
+    def __init__(
+        self,
+        attributes: Iterable[str],
+        network: AndOrNetwork,
+        interner: ValueInterner,
+        codes: np.ndarray,
+        lineage: np.ndarray,
+        probs: np.ndarray,
+        name: str = "",
+    ) -> None:
+        super().__init__(attributes, interner, codes, name)
+        self.network = network
+        self.lineage = lineage
+        self.probs = probs
+        if codes.shape != (len(lineage), len(self.attributes)):
+            raise SchemaError(
+                f"code matrix {codes.shape} does not match "
+                f"{len(lineage)} rows x {len(self.attributes)} attributes"
+            )
 
     def items(self) -> Iterator[tuple[Row, int, float]]:
         """Iterate over ``(row, lineage, probability)`` triples (decoded)."""
@@ -279,20 +291,13 @@ class ColumnarPLRelation:
                 out.add(row, l, p)
             return out
 
-    def _take(
-        self, indices: np.ndarray, name: str, positions: Sequence[int] | None = None
-    ) -> "ColumnarPLRelation":
-        """Gather a row subset (and optionally a column subset) by index."""
-        codes = self.codes[indices]
-        attrs = self.attributes
-        if positions is not None:
-            codes = codes[:, positions]
-            attrs = tuple(self.attributes[j] for j in positions)
+    def _take(self, indices: np.ndarray, name: str) -> "ColumnarPLRelation":
+        """Gather a row subset by index."""
         return ColumnarPLRelation(
-            attrs,
+            self.attributes,
             self.network,
             self.interner,
-            codes,
+            self.codes[indices],
             self.lineage[indices],
             self.probs[indices],
             name=name,
@@ -371,6 +376,73 @@ def _encode_base(relation, interner, codes, n, k):
         for j in range(k):
             codes[:, j] = interner.encode_column(columns[j])
     return codes, probs
+
+
+class BaseScanner:
+    """Scan base relations into dictionary-encoded columns.
+
+    Owns an evaluator's :class:`ValueInterner` and base-encode cache, keyed
+    ``name -> (relation object, version, codes, probs)``: an entry serves
+    only the object and :attr:`~ProbabilisticRelation.version` it was
+    encoded from, so any mutation (or a commit's new object) re-encodes and
+    replaces it. Encoding, the only step that grows the interner, is locked.
+    """
+
+    def __init__(self) -> None:
+        self.interner = ValueInterner()
+        self._cache: dict[str, tuple] = {}
+        self._lock = threading.Lock()
+
+    def clear(self) -> None:
+        """Drop every cached encoding (the interner keeps its codes)."""
+        with self._lock:
+            self._cache.clear()
+
+    def encode(
+        self, base: ProbabilisticRelation
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Cached :func:`encode_base` of *base* against this interner."""
+        with self._lock:
+            hit = self._cache.get(base.name)
+            if hit is None or hit[0] is not base or hit[1] != base.version:
+                hit = (base, base.version, *encode_base(base, self.interner))
+                self._cache[base.name] = hit
+        return hit[2], hit[3]
+
+    def scan(
+        self, base: ProbabilisticRelation, terms
+    ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """``(attributes, codes, probs)`` of the atom ``base(terms)``.
+
+        A constant term keeps only rows carrying that value (none when the
+        value was never interned); a repeated variable keeps rows whose
+        columns agree; the output has one column per distinct variable, in
+        first-occurrence order. ``terms=None`` reads the relation as-is.
+        """
+        codes, probs = self.encode(base)
+        if terms is None:
+            return base.schema.attributes, codes, probs
+        if len(terms) != base.schema.arity:
+            raise PlanError(
+                f"scan of {base.name}: {len(terms)} terms for arity "
+                f"{base.schema.arity}"
+            )
+        mask = np.ones(len(probs), dtype=bool)
+        var_first: dict[str, int] = {}
+        for i, t in enumerate(terms):
+            if isinstance(t, Constant):
+                code = self.interner.code_of(t.value)
+                if code is None:
+                    mask[:] = False
+                else:
+                    mask &= codes[:, i] == code
+            elif t.name in var_first:
+                mask &= codes[:, i] == codes[:, var_first[t.name]]
+            else:
+                var_first[t.name] = i
+        idx = np.flatnonzero(mask)
+        positions = list(var_first.values())
+        return tuple(var_first), codes[idx][:, positions], probs[idx]
 
 
 def from_plrelation(
@@ -455,6 +527,22 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- select
+def eq_mask(
+    rel: CodedRelation, conditions: Iterable[tuple[str, object]]
+) -> np.ndarray:
+    """Row mask of ``σ_{A=a, ...}`` given ``(attribute, value)`` pairs (all
+    false as soon as a value was never interned)."""
+    mask = np.ones(len(rel), dtype=bool)
+    for attr, value in conditions:
+        j = rel.index_of(attr)
+        code = rel.interner.code_of(value)
+        if code is None:
+            mask[:] = False
+            break
+        mask &= rel.codes[:, j] == code
+    return mask
+
+
 def select_eq(
     rel: ColumnarPLRelation, conditions: Mapping[str, object]
 ) -> ColumnarPLRelation:
@@ -462,15 +550,10 @@ def select_eq(
 
     Always data safe (Proposition 3.2); lineage and probability pass through.
     """
-    mask = np.ones(len(rel), dtype=bool)
-    for attr, value in conditions.items():
-        j = rel.index_of(attr)
-        code = rel.interner.code_of(value)
-        if code is None:
-            mask[:] = False
-            break
-        mask &= rel.codes[:, j] == code
-    return rel._take(np.flatnonzero(mask), name=f"σ({rel.name})")
+    return rel._take(
+        np.flatnonzero(eq_mask(rel, conditions.items())),
+        name=f"σ({rel.name})",
+    )
 
 
 #: Comparison operators :class:`Comparison` can compile. ``>`` / ``>=`` ride
@@ -527,7 +610,7 @@ class Comparison:
             return v > self.value
         return v >= self.value
 
-    def mask(self, rel: "ColumnarPLRelation") -> np.ndarray:
+    def mask(self, rel: CodedRelation) -> np.ndarray:
         """Boolean row mask over a columnar relation (the compiled path)."""
         column = rel.codes[:, rel.index_of(self.attribute)]
         if self.op in ("==", "!="):
@@ -548,27 +631,33 @@ class Comparison:
         return verdicts[inv]
 
 
-def select_where(rel: ColumnarPLRelation, predicate) -> ColumnarPLRelation:
-    """Selection with a row predicate — compiled when possible.
+def where_mask(rel: CodedRelation, predicate) -> np.ndarray:
+    """Row mask of a selection predicate — compiled when possible.
 
     *predicate* may be a :class:`Comparison`, an iterable of them (their
     conjunction), or an arbitrary callable. Comparisons are compiled to
     array expressions over the encoded columns; the callable form is the
-    exotic-predicate fallback: decode once, evaluate per row, then gather
-    with one mask.
+    exotic-predicate fallback: decode once, evaluate per row.
     """
     compiled = _as_comparisons(predicate)
-    if compiled is not None:
-        mask = np.ones(len(rel), dtype=bool)
-        for comparison in compiled:
-            mask &= comparison.mask(rel)
-    else:
-        mask = np.fromiter(
+    if compiled is None:
+        return np.fromiter(
             (bool(predicate(row)) for row in rel.rows()),
             dtype=bool,
             count=len(rel),
         )
-    return rel._take(np.flatnonzero(mask), name=f"σ({rel.name})")
+    mask = np.ones(len(rel), dtype=bool)
+    for comparison in compiled:
+        mask &= comparison.mask(rel)
+    return mask
+
+
+def select_where(rel: ColumnarPLRelation, predicate) -> ColumnarPLRelation:
+    """Selection with a row predicate (see :func:`where_mask`), gathered
+    with one mask."""
+    return rel._take(
+        np.flatnonzero(where_mask(rel, predicate)), name=f"σ({rel.name})"
+    )
 
 
 def _as_comparisons(predicate) -> list[Comparison] | None:
@@ -583,33 +672,45 @@ def _as_comparisons(predicate) -> list[Comparison] | None:
 
 
 # -------------------------------------------------------------------- project
+def log_complement(probs: np.ndarray) -> np.ndarray:
+    """``log(1 - p)`` per entry (``-inf`` at ``p = 1``), computed as
+    ``log1p(-p)`` for precision near 0 — the log space of every
+    independent-OR fold and failure split."""
+    with np.errstate(divide="ignore"):
+        return np.log1p(-probs)
+
+
+def or_fold(
+    gid: np.ndarray, groups: int, first: np.ndarray, probs: np.ndarray
+) -> np.ndarray:
+    """Per-group independent OR ``1 - Π(1-p)`` as a log-space grouped sum.
+
+    Clamped into [0, 1] — expm1 rounding on many near-1 inputs can
+    overshoot by an ulp, and an out-of-range probability poisons inference —
+    and singleton groups pass their probability through bit-exactly.
+    """
+    counts = np.bincount(gid, minlength=groups)
+    sums = np.bincount(gid, weights=log_complement(probs), minlength=groups)
+    out = np.clip(-np.expm1(sums), 0.0, 1.0)
+    single = counts == 1
+    out[single] = probs[first[single]]
+    return out
+
+
 def independent_project(
     rel: ColumnarPLRelation, attributes: Sequence[str]
 ) -> ColumnarProjected:
     """Independent project (Sec 5.3.2): group by projected value *and* lineage.
 
-    Rows sharing both are merged extensionally, ``p' = 1 - Π(1-p)``, via a
-    log-space grouped reduction clamped into [0, 1].
+    Rows sharing both are merged extensionally by :func:`or_fold`.
     """
     positions = [rel.index_of(a) for a in attributes]
-    n = len(rel)
     cols = [rel.codes[:, j] for j in positions] + [rel.lineage]
-    gid, groups, first = _group_first_occurrence(n, cols)
-    counts = np.bincount(gid, minlength=groups)
-    with np.errstate(divide="ignore"):
-        logs = np.log1p(-rel.probs)
-    sums = np.bincount(gid, weights=logs, minlength=groups)
-    # Clamp the fold into [0, 1]: expm1 rounding on many near-1 inputs can
-    # overshoot by an ulp, and an out-of-range probability poisons inference.
-    probs = np.clip(-np.expm1(sums), 0.0, 1.0)
-    # Singleton groups pass their probability through bit-exactly.
-    single = counts == 1
-    probs[single] = rel.probs[first[single]]
-    codes = rel.codes[first][:, positions] if positions else np.empty(
-        (groups, 0), dtype=np.int64
-    )
+    gid, groups, first = _group_first_occurrence(len(rel), cols)
     return ColumnarProjected(
-        codes=codes, lineage=rel.lineage[first], probs=probs
+        codes=rel.codes[first][:, positions],
+        lineage=rel.lineage[first],
+        probs=or_fold(gid, groups, first, rel.probs),
     )
 
 
@@ -677,42 +778,30 @@ def project(
 def _target_mask(rel: ColumnarPLRelation, rows: Iterable[Row]) -> np.ndarray:
     """Boolean mask of the given rows; raises on rows absent from *rel*."""
     targets = [tuple(r) for r in rows]
-    if not targets:
-        return np.zeros(len(rel), dtype=bool)
-    interner = rel.interner
     k = len(rel.attributes)
-    keys = np.empty((len(targets), k), dtype=np.int64)
-    missing: list[Row] = []
+    codes = np.full((len(targets), k), -1, dtype=np.int64)
     for i, row in enumerate(targets):
         if len(row) != k:
             raise SchemaError(
                 f"row {row!r} has arity {len(row)}, expected {k}"
             )
-        ok = True
         for j, v in enumerate(row):
-            code = interner.code_of(v)
-            if code is None:
-                ok = False
-                break
-            keys[i, j] = code
-        if not ok:
-            missing.append(row)
-            keys[i, :] = -1
-    n = len(rel)
-    cols = [
-        np.concatenate([rel.codes[:, j], np.maximum(keys[:, j], 0)])
-        for j in range(k)
-    ]
-    fused = _fuse(n + len(targets), cols)
-    rel_keys, target_keys = fused[:n], fused[n:]
-    valid = (keys >= 0).all(axis=1) if k else np.ones(len(targets), dtype=bool)
-    present = np.isin(target_keys, rel_keys) & valid
-    if not present.all():
-        decoded = [targets[i] for i in np.flatnonzero(~present).tolist()]
-        raise SchemaError(
-            f"cannot condition on absent rows: {sorted(decoded)}"
-        )
-    return np.isin(rel_keys, target_keys[present])
+            code = rel.interner.code_of(v)
+            if code is not None:
+                codes[i, j] = code
+    # Rows holding a never-interned value cannot be present; the rest are
+    # semi-joined against *rel* on every attribute.
+    valid = (codes >= 0).all(axis=1)
+    m = match_join(
+        rel, CodedRelation(rel.attributes, rel.interner, codes[valid]),
+        rel.attributes,
+    )
+    found = np.zeros(len(targets), dtype=bool)
+    found[valid] = m.right_fanout > 0
+    if not found.all():
+        absent = [targets[i] for i in np.flatnonzero(~found).tolist()]
+        raise SchemaError(f"cannot condition on absent rows: {sorted(absent)}")
+    return m.left_fanout > 0
 
 
 def condition(
@@ -776,29 +865,76 @@ def condition(
 
 
 # ----------------------------------------------------------------------- join
-def _join_positions(
-    left: ColumnarPLRelation, right: ColumnarPLRelation, on: Sequence[str]
-) -> tuple[list[int], list[int], list[int]]:
-    lpos = [left.index_of(a) for a in on]
-    rpos = [right.index_of(a) for a in on]
-    keep = [i for i, a in enumerate(right.attributes) if a not in set(on)]
-    return lpos, rpos, keep
+@dataclass(frozen=True)
+class JoinMatch:
+    """Every matching ``(left row, right row)`` pair of an equi-join.
+
+    Pairs are left-major, right insertion order within a key. The fanouts
+    are the partner counts the offending-tuple test (Definition 5.14) and
+    the dissociation split both read: ``left_fanout[i]`` right rows join
+    left row ``i``, ``right_fanout[j]`` left rows join right row ``j``.
+    """
+
+    li: np.ndarray
+    ri: np.ndarray
+    left_fanout: np.ndarray
+    right_fanout: np.ndarray
+    #: Output schema: the left attributes, then the right non-join ones.
+    attributes: tuple[str, ...]
+    #: Right-side columns that survive into the output.
+    keep: list[int]
+
+    def codes(self, left: CodedRelation, right: CodedRelation) -> np.ndarray:
+        """The joined code matrix, one row per pair."""
+        codes = left.codes[self.li]
+        if self.keep:
+            codes = np.concatenate(
+                [codes, right.codes[self.ri][:, self.keep]], axis=1
+            )
+        return codes
 
 
-def _joint_keys(
-    left: ColumnarPLRelation,
-    right: ColumnarPLRelation,
-    lpos: Sequence[int],
-    rpos: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fuse both sides' join-key columns in one shared key space."""
+def match_join(
+    left: CodedRelation, right: CodedRelation, on: Sequence[str]
+) -> JoinMatch:
+    """Enumerate the pairs of ``left ⋈_on right`` once.
+
+    Both sides' key columns are fused in one shared key space, the right
+    keys sorted (stable), and a ``searchsorted`` range per left row yields
+    its partners — the one pair enumeration every join kernel uses.
+    """
+    if left.interner is not right.interner:
+        raise SchemaError(
+            "columnar join requires both sides to share one interner"
+        )
     nl, nr = len(left), len(right)
     cols = [
-        np.concatenate([left.codes[:, lj], right.codes[:, rj]])
-        for lj, rj in zip(lpos, rpos)
+        np.concatenate([left.codes[:, left.index_of(a)],
+                        right.codes[:, right.index_of(a)]])
+        for a in on
     ]
     fused = _fuse(nl + nr, cols)
-    return fused[:nl], fused[nl:]
+    lkeys, rkeys = fused[:nl], fused[nl:]
+    r_order = np.argsort(rkeys, kind="stable")
+    r_sorted = rkeys[r_order]
+    starts = np.searchsorted(r_sorted, lkeys, side="left")
+    counts = np.searchsorted(r_sorted, lkeys, side="right") - starts
+    li = np.repeat(np.arange(nl, dtype=np.int64), counts)
+    ri = r_order[_concat_ranges(starts, counts)]
+    keep = [i for i, a in enumerate(right.attributes) if a not in set(on)]
+    return JoinMatch(
+        li=li,
+        ri=ri,
+        left_fanout=counts,
+        right_fanout=np.bincount(ri, minlength=nr),
+        attributes=left.attributes + tuple(right.attributes[i] for i in keep),
+        keep=keep,
+    )
+
+
+def _offending(rel: ColumnarPLRelation, fanout: np.ndarray) -> np.ndarray:
+    """Uncertain rows with more than one join partner (Definition 5.14)."""
+    return (rel.probs < 1.0) & (fanout > 1)
 
 
 def cset_mask(
@@ -811,14 +947,7 @@ def cset_mask(
     deterministic or not: a shared uncertain left tuple correlates its output
     tuples regardless of the partners' probabilities.
     """
-    lpos, rpos, _ = _join_positions(left, right, on)
-    lkeys, rkeys = _joint_keys(left, right, lpos, rpos)
-    uniq, inverse = np.unique(
-        np.concatenate([lkeys, rkeys]), return_inverse=True
-    )
-    linv, rinv = inverse[: len(left)], inverse[len(left):]
-    fanout = np.bincount(rinv, minlength=uniq.size)
-    return (left.probs < 1.0) & (fanout[linv] > 1)
+    return _offending(left, match_join(left, right, on).left_fanout)
 
 
 def cset(
@@ -836,34 +965,25 @@ def pl_join_raw(
     """``⋈_pL`` (Definition 5.13), *without* conditioning.
 
     Correct (possible-worlds preserving) only when both cSets are empty —
-    use :func:`pl_join` for the safe composition. A key-encoded
-    sort/``searchsorted`` join yields match index pairs left-major, right
-    insertion order within a key; one vectorized pass then gives pairs whose
-    sides both carry lineage a batched And gate, and folds the rest by
+    use :func:`pl_join` for the safe composition. The pairs come from
+    :func:`match_join`; one vectorized pass then gives pairs whose sides
+    both carry lineage a batched And gate, and folds the rest by
     multiplying probabilities (the non-trivial lineage, if any, passes
     through).
     """
+    return _and_join(left, right, match_join(left, right, on))
+
+
+def _and_join(
+    left: ColumnarPLRelation, right: ColumnarPLRelation, m: JoinMatch
+) -> ColumnarPLRelation:
     if left.network is not right.network:
         raise SchemaError("pL-join requires both sides to share one network")
-    if left.interner is not right.interner:
-        raise SchemaError(
-            "columnar pL-join requires both sides to share one interner"
-        )
     net = left.network
-    lpos, rpos, keep = _join_positions(left, right, on)
-    lkeys, rkeys = _joint_keys(left, right, lpos, rpos)
-    r_order = np.argsort(rkeys, kind="stable")
-    r_sorted = rkeys[r_order]
-    starts = np.searchsorted(r_sorted, lkeys, side="left")
-    ends = np.searchsorted(r_sorted, lkeys, side="right")
-    counts = ends - starts
-    li = np.repeat(np.arange(len(left), dtype=np.int64), counts)
-    ri = r_order[_concat_ranges(starts, counts)]
-
-    ll = left.lineage[li]
-    rl = right.lineage[ri]
-    lp = left.probs[li]
-    rp = right.probs[ri]
+    ll = left.lineage[m.li]
+    rl = right.lineage[m.ri]
+    lp = left.probs[m.li]
+    rp = right.probs[m.ri]
     out_lineage = np.where(rl == EPSILON, ll, rl)
     out_probs = lp * rp
     both = np.flatnonzero((ll != EPSILON) & (rl != EPSILON))
@@ -872,22 +992,11 @@ def pl_join_raw(
         edge_probs = np.stack([lp[both], rp[both]], axis=1)
         out_lineage[both] = net.add_gates(NodeKind.AND, parents, edge_probs)
         out_probs[both] = 1.0
-
-    out_attrs = left.attributes + tuple(right.attributes[i] for i in keep)
-    left_codes = left.codes[li]
-    if keep:
-        out_codes = np.concatenate(
-            [left_codes, right.codes[ri][:, keep]], axis=1
-        )
-    elif left_codes.shape[1]:
-        out_codes = left_codes
-    else:
-        out_codes = np.empty((len(li), 0), dtype=np.int64)
     return ColumnarPLRelation(
-        out_attrs,
+        m.attributes,
         net,
         left.interner,
-        out_codes,
+        m.codes(left, right),
         out_lineage,
         out_probs,
         name=f"({left.name}⋈{right.name})",
@@ -908,9 +1017,10 @@ def pl_join(
     optional *recorder* ``(node, source, row)`` receives the provenance of
     every conditioned tuple (used for what-if analysis).
     """
-    lmask = cset_mask(left, right, on)
-    rmask = cset_mask(right, left, on)
+    m = match_join(left, right, on)
+    lmask = _offending(left, m.left_fanout)
+    rmask = _offending(right, m.right_fanout)
     left2 = condition(left, lmask, recorder) if lmask.any() else left
     right2 = condition(right, rmask, recorder) if rmask.any() else right
-    joined = pl_join_raw(left2, right2, on)
+    joined = _and_join(left2, right2, m)
     return joined, int(lmask.sum()) + int(rmask.sum())

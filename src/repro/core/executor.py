@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import columnar as _columnar
 from repro.core.columnar import (
+    BaseScanner,
     ColumnarPLRelation,
-    ValueInterner,
     pl_join,
     project,
     select_eq,
@@ -53,7 +52,7 @@ from repro.obs.trace import span as _span
 from repro.db.database import ProbabilisticDatabase
 from repro.db.schema import Row
 from repro.errors import PlanError
-from repro.query.syntax import ConjunctiveQuery, Constant
+from repro.query.syntax import ConjunctiveQuery
 from repro.resilience.budget import QueryBudget
 
 @dataclass
@@ -439,8 +438,7 @@ class PartialLineageEvaluator:
         # scans of the same (unmodified) relation across evaluations — e.g.
         # the optimizer costing many join orders — reuse the code matrix
         # instead of re-interning every value.
-        self._interner = ValueInterner()
-        self._base_cache: dict = {}
+        self._scanner = BaseScanner()
 
     # ------------------------------------------------------------ entry points
     def evaluate(self, plan: Plan, budget=None) -> EvaluationResult:
@@ -474,8 +472,9 @@ class PartialLineageEvaluator:
 
     def invalidate_cache(self) -> None:
         """Drop the columnar base-relation encode cache and any compiled
-        circuits (call after mutating a base relation in place)."""
-        self._base_cache.clear()
+        circuits. Only frees memory: a mutated relation already misses the
+        encode cache (entries are keyed on the relation's version)."""
+        self._scanner.clear()
         if self.circuit_cache is not None:
             self.circuit_cache.clear()
 
@@ -502,64 +501,52 @@ class PartialLineageEvaluator:
         # span. A budget, when present, is checkpointed after every operator:
         # deadline plus network-size cap, the two resources the operator
         # pipeline itself consumes.
+        def recurse(child: Plan) -> ColumnarPLRelation:
+            return self._eval(child, network, stats, provenance, budget)
+
         if isinstance(plan, Scan):
-            with _span("scan", op=str(plan)) as sp:
-                start = time.perf_counter()
-                rel = self._scan(plan, network)
-                seconds = time.perf_counter() - start
-                sp.add("output_size", len(rel))
-        elif isinstance(plan, Select):
-            child = self._eval(plan.child, network, stats, provenance, budget)
-            with _span("select", op=str(plan)) as sp:
-                start = time.perf_counter()
-                rel = select_eq(child, dict(plan.conditions))
-                seconds = time.perf_counter() - start
-                sp.add("output_size", len(rel))
-        elif isinstance(plan, Filter):
-            child = self._eval(plan.child, network, stats, provenance, budget)
-            with _span("filter", op=str(plan)) as sp:
-                start = time.perf_counter()
-                rel = select_where(child, list(plan.predicates))
-                seconds = time.perf_counter() - start
-                sp.add("output_size", len(rel))
-        elif isinstance(plan, Project):
-            child = self._eval(plan.child, network, stats, provenance, budget)
-            with _span("project", op=str(plan)) as sp:
-                start = time.perf_counter()
-                rel = project(child, plan.attributes)
-                seconds = time.perf_counter() - start
-                sp.add("output_size", len(rel))
+            kind, run = "scan", lambda: (self._scan(plan, network), 0)
         elif isinstance(plan, Join):
-            left = self._eval(plan.left, network, stats, provenance, budget)
-            right = self._eval(plan.right, network, stats, provenance, budget)
-            with _span("join", op=str(plan)) as sp:
-                start = time.perf_counter()
-                rel, conditioned = pl_join(
-                    left,
-                    right,
-                    plan.on,
-                    recorder=lambda node, source, row: provenance.append(
-                        OffendingTuple(source, row, node)
-                    ),
-                )
-                sp.add("output_size", len(rel))
-                sp.add("conditioned", conditioned)
-                stats.append(
-                    OperatorStat(
-                        str(plan),
-                        output_size=len(rel),
-                        conditioned=conditioned,
-                        seconds=time.perf_counter() - start,
-                    )
-                )
-            if budget is not None:
-                budget.checkpoint(str(plan))
-                budget.check_nodes(len(network), str(plan))
-            return rel
+            left, right = recurse(plan.left), recurse(plan.right)
+            kind, run = "join", lambda: pl_join(
+                left,
+                right,
+                plan.on,
+                recorder=lambda node, source, row: provenance.append(
+                    OffendingTuple(source, row, node)
+                ),
+            )
+        elif isinstance(plan, Select):
+            child = recurse(plan.child)
+            kind, run = "select", lambda: (
+                select_eq(child, dict(plan.conditions)), 0
+            )
+        elif isinstance(plan, Filter):
+            child = recurse(plan.child)
+            kind, run = "filter", lambda: (
+                select_where(child, list(plan.predicates)), 0
+            )
+        elif isinstance(plan, Project):
+            child = recurse(plan.child)
+            kind, run = "project", lambda: (
+                project(child, plan.attributes), 0
+            )
         else:
             raise PlanError(f"unknown plan node {plan!r}")
+        with _span(kind, op=str(plan)) as sp:
+            start = time.perf_counter()
+            rel, conditioned = run()
+            seconds = time.perf_counter() - start
+            sp.add("output_size", len(rel))
+            if kind == "join":
+                sp.add("conditioned", conditioned)
         stats.append(
-            OperatorStat(str(plan), output_size=len(rel), seconds=seconds)
+            OperatorStat(
+                str(plan),
+                output_size=len(rel),
+                conditioned=conditioned,
+                seconds=seconds,
+            )
         )
         if budget is not None:
             budget.checkpoint(str(plan))
@@ -567,58 +554,15 @@ class PartialLineageEvaluator:
         return rel
 
     # ------------------------------------------------------------------ scans
-    def _base_arrays(self, name: str):
-        """Cached dictionary encoding of a base relation."""
-        base = self.db[name]
-        key = (name, id(base), len(base))
-        hit = self._base_cache.get(key)
-        if hit is None:
-            hit = _columnar.encode_base(base, self._interner)
-            self._base_cache[key] = hit
-        return hit
-
     def _scan(self, scan: Scan, network: AndOrNetwork) -> ColumnarPLRelation:
         base = self.db[scan.relation]
-        codes, probs = self._base_arrays(scan.relation)
-        lineage = np.full(len(base), EPSILON, dtype=np.int64)
-        if scan.terms is None:
-            return ColumnarPLRelation(
-                base.schema.attributes,
-                network,
-                self._interner,
-                codes,
-                lineage,
-                probs,
-                name=base.name,
-            )
-        if len(scan.terms) != base.schema.arity:
-            raise PlanError(
-                f"scan of {scan.relation}: {len(scan.terms)} terms for arity "
-                f"{base.schema.arity}"
-            )
-        mask = np.ones(len(base), dtype=bool)
-        var_first: dict[str, int] = {}
-        for i, t in enumerate(scan.terms):
-            if isinstance(t, Constant):
-                code = self._interner.code_of(t.value)
-                if code is None:
-                    mask[:] = False
-                else:
-                    mask &= codes[:, i] == code
-            elif t.name in var_first:
-                mask &= codes[:, i] == codes[:, var_first[t.name]]
-            else:
-                var_first[t.name] = i
-        idx = np.flatnonzero(mask)
-        positions = list(var_first.values())
+        attributes, codes, probs = self._scanner.scan(base, scan.terms)
         return ColumnarPLRelation(
-            tuple(var_first),
+            attributes,
             network,
-            self._interner,
-            codes[idx][:, positions] if positions else np.empty(
-                (idx.size, 0), dtype=np.int64
-            ),
-            lineage[idx],
-            probs[idx],
-            name=str(scan),
+            self._scanner.interner,
+            codes,
+            np.full(len(probs), EPSILON, dtype=np.int64),
+            probs,
+            name=base.name if scan.terms is None else str(scan),
         )

@@ -15,13 +15,14 @@ from __future__ import annotations
 from repro.core.executor import EvaluationResult
 from repro.core.network import EPSILON, AndOrNetwork, NodeKind
 from repro.core.plan import Filter, Join, Plan, Project, Scan, Select, plan_schema
+from repro.core.safety import join_offending_tuples
 from repro.db.database import ProbabilisticDatabase
-from repro.db.statistics import fanout_profile
 from repro.query.syntax import Variable
 
 
-def _scan_base_key(scan: Scan, db: ProbabilisticDatabase, on: tuple[str, ...]):
-    """Map join attributes (variable names) back to base columns of a scan."""
+def scan_base_key(scan: Scan, db: ProbabilisticDatabase, on: tuple[str, ...]):
+    """Map join attributes (variable names) back to base columns of a scan:
+    ``(base relation, columns)``, or ``None`` if one is not a scan variable."""
     rel = db[scan.relation]
     if scan.terms is None:
         return rel, tuple(on)
@@ -40,31 +41,13 @@ def _join_annotation(join: Join, db: ProbabilisticDatabase) -> str:
     """Predict the join's offending counts where both sides are base scans."""
     if not (isinstance(join.left, Scan) and isinstance(join.right, Scan)):
         return "offending: data-dependent (inputs are derived)"
-    left = _scan_base_key(join.left, db, join.on)
-    right = _scan_base_key(join.right, db, join.on)
+    left = scan_base_key(join.left, db, join.on)
+    right = scan_base_key(join.right, db, join.on)
     if left is None or right is None:
         return "offending: data-dependent"
     (lrel, lkey), (rrel, rkey) = left, right
-    lprof = fanout_profile(rrel, rkey)
-    rprof = fanout_profile(lrel, lkey)
-    loff = sum(
-        1
-        for row, p in lrel.items()
-        if p < 1.0
-        and lprof.expected_partners(
-            tuple(row[i] for i in lrel.schema.indices_of(lkey))
-        )
-        > 1
-    )
-    roff = sum(
-        1
-        for row, p in rrel.items()
-        if p < 1.0
-        and rprof.expected_partners(
-            tuple(row[i] for i in rrel.schema.indices_of(rkey))
-        )
-        > 1
-    )
+    loff = len(join_offending_tuples(lrel, rrel, lkey, rkey))
+    roff = len(join_offending_tuples(rrel, lrel, rkey, lkey))
     if loff == roff == 0:
         return "data safe (no offending tuples)"
     return f"offending: {loff} left + {roff} right tuples will be conditioned"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.core.executor import EvaluationResult, PartialLineageEvaluator
 from repro.core.inference import induced_width, network_factors
-from repro.core.plan import Plan, left_deep_plan
+from repro.core.plan import Plan, Scan, left_deep_plan
 from repro.db.database import ProbabilisticDatabase
 from repro.errors import PlanError
 from repro.query.syntax import ConjunctiveQuery
@@ -132,6 +132,8 @@ def estimate_order(
     conditioning only, trading the exactness of :func:`cost_order` for
     constant-time costing on large instances.
     """
+    from repro.core.explain import scan_base_key
+    from repro.core.safety import join_offending_tuples
     from repro.db.statistics import fanout_profile
 
     atom_by_name = {a.relation: a for a in query.atoms}
@@ -144,15 +146,8 @@ def estimate_order(
         return tuple(sorted(prior & mine))
 
     def base_key(name: str, names: tuple[str, ...]) -> tuple[str, ...]:
-        atom = atom_by_name[name]
-        rel = db[name]
-        cols = []
-        for var in names:
-            for i, t in enumerate(atom.terms):
-                if getattr(t, "name", None) == var:
-                    cols.append(rel.schema.attributes[i])
-                    break
-        return tuple(cols)
+        # *names* are variables of the atom, so the lookup always succeeds
+        return scan_base_key(Scan(name, atom_by_name[name].terms), db, names)[1]
 
     offending = 0
     done: list[str] = []
@@ -164,33 +159,12 @@ def estimate_order(
                 profile = fanout_profile(db[name], base_key(name, shared))
                 offending += profile.uncertain_multi if i > 1 else 0
                 if i == 1:
-                    left = done[0]
-                    lprof = fanout_profile(db[name], base_key(name, shared))
-                    lidx = db[left].schema.indices_of(
-                        base_key(left, join_vars([name], left))
-                    )
-                    offending += sum(
-                        1
-                        for row, p in db[left].items()
-                        if p < 1.0
-                        and lprof.expected_partners(
-                            tuple(row[j] for j in lidx)
-                        )
-                        > 1
-                    )
-                    rprof = fanout_profile(
-                        db[left], base_key(left, join_vars([name], left))
-                    )
-                    ridx = db[name].schema.indices_of(base_key(name, shared))
-                    offending += sum(
-                        1
-                        for row, p in db[name].items()
-                        if p < 1.0
-                        and rprof.expected_partners(
-                            tuple(row[j] for j in ridx)
-                        )
-                        > 1
-                    )
+                    lrel, rrel = db[done[0]], db[name]
+                    lkey = base_key(done[0], shared)
+                    rkey = base_key(name, shared)
+                    offending += len(
+                        join_offending_tuples(lrel, rrel, lkey, rkey)
+                    ) + len(join_offending_tuples(rrel, lrel, rkey, lkey))
             else:
                 # cross product: every uncertain tuple of the smaller side
                 offending += min(

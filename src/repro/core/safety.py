@@ -24,6 +24,7 @@ from repro.core.plan import Plan
 from repro.db.database import ProbabilisticDatabase
 from repro.db.relation import ProbabilisticRelation
 from repro.db.schema import Row
+from repro.db.statistics import fanout_profile
 
 
 def join_offending_tuples(
@@ -38,16 +39,12 @@ def join_offending_tuples(
     tuple of *right* on the join attributes. All partners count, certain or
     not: sharing an uncertain tuple across several outputs correlates them.
     """
-    fanout: dict[Row, int] = {}
-    ridx = right.schema.indices_of(right_on)
-    for row in right:
-        key = tuple(row[i] for i in ridx)
-        fanout[key] = fanout.get(key, 0) + 1
+    partners = fanout_profile(right, right_on).expected_partners
     lidx = left.schema.indices_of(left_on)
     return [
         row
         for row, p in left.items()
-        if p < 1.0 and fanout.get(tuple(row[i] for i in lidx), 0) > 1
+        if p < 1.0 and partners(tuple(row[i] for i in lidx)) > 1
     ]
 
 

@@ -40,7 +40,7 @@ class ProbabilisticRelation:
     [(1,)]
     """
 
-    __slots__ = ("schema", "_rows", "_hooks")
+    __slots__ = ("schema", "_rows", "_hooks", "_version")
 
     def __init__(
         self,
@@ -50,6 +50,7 @@ class ProbabilisticRelation:
         self.schema = schema
         self._rows: Dict[Row, float] = {}
         self._hooks: list = []
+        self._version = 0
         if rows is not None:
             items = rows.items() if isinstance(rows, Mapping) else rows
             for row, p in items:
@@ -91,6 +92,7 @@ class ProbabilisticRelation:
         if r in self._rows:
             raise SchemaError(f"duplicate tuple {r!r} in relation {self.name}")
         self._rows[r] = p
+        self._version += 1
         for hook in self._hooks:
             hook(self.name)
 
@@ -113,6 +115,7 @@ class ProbabilisticRelation:
         if r not in self._rows:
             raise SchemaError(f"no tuple {r!r} in relation {self.name}")
         self._rows[r] = p
+        self._version += 1
         for hook in self._hooks:
             hook(self.name)
 
@@ -128,6 +131,7 @@ class ProbabilisticRelation:
         if r not in self._rows:
             raise SchemaError(f"no tuple {r!r} in relation {self.name}")
         del self._rows[r]
+        self._version += 1
         for hook in self._hooks:
             hook(self.name)
 
@@ -141,6 +145,17 @@ class ProbabilisticRelation:
         them instead of silently serving stale answers.
         """
         self._hooks.append(hook)
+
+    @property
+    def version(self) -> int:
+        """Mutation counter of this relation object, bumped by every
+        :meth:`add`, :meth:`set_probability` and :meth:`remove`.
+
+        ``(relation object, version)`` identifies the contents exactly, so a
+        cache of derived arrays keyed on that pair cannot serve a stale
+        encoding — not even after a remove + add that keeps ``len`` fixed.
+        """
+        return self._version
 
     def probability(self, row: Row) -> float:
         """Marginal probability of *row*; 0.0 if the tuple is not in the relation."""

@@ -16,8 +16,14 @@ sharing instead of tracking it:
   mass evenly, so the exponents sum to one and the same fold is a sound
   lower bound.
 
-Both variants are ordinary vectorized NumPy folds over the columnar
-representation — no And-Or network, no DPLL, no conditioning. On a
+Both variants run on the columnar kernels of :mod:`repro.core.columnar`,
+the ones the pL evaluator uses, under a second fold: the same
+:class:`~repro.core.columnar.BaseScanner` scan and encode cache, the same
+selection masks, one :func:`~repro.core.columnar.match_join` pair
+enumeration per join (its partner counts are the fanouts ``c``) and the same
+:func:`~repro.core.columnar.or_fold` at projections. Only the per-row
+values, ``(up, lo)`` instead of ``(lineage, p)``, and the join arithmetic
+differ. There is no And-Or network, no DPLL and no conditioning. On a
 data-safe instance no tuple has fanout > 1, both folds coincide, and the
 result is the exact probability with zero width;
 the interval widens only where conditioning would have happened. Because a
@@ -40,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import columnar as _columnar
-from repro.core.columnar import ValueInterner
 from repro.core.plan import (
     Filter,
     Join,
@@ -56,7 +61,7 @@ from repro.db.schema import Row
 from repro.enclosure import Enclosure
 from repro.errors import PlanError
 from repro.obs.trace import span as _span
-from repro.query.syntax import ConjunctiveQuery, Constant
+from repro.query.syntax import ConjunctiveQuery
 
 __all__ = [
     "DissociationResult",
@@ -115,77 +120,44 @@ class DissociationResult:
         }
 
 
-# --------------------------------------------------------------- columnar rep
-class _BoundsRel:
-    """A columnar relation carrying two probability vectors (upper, lower).
+# ------------------------------------------------------------ the second fold
+class _BoundsRel(_columnar.CodedRelation):
+    """Key codes plus the (upper, lower) probability of every row."""
 
-    Quacks enough like :class:`~repro.core.columnar.ColumnarPLRelation`
-    (``codes`` / ``index_of`` / ``interner`` / ``len``) for
-    :meth:`~repro.core.columnar.Comparison.mask` to compile against it.
-    """
+    __slots__ = ("up", "lo")
 
-    __slots__ = ("attributes", "codes", "up", "lo", "interner")
-
-    def __init__(self, attributes, codes, up, lo, interner):
-        self.attributes = tuple(attributes)
-        self.codes = codes
+    def __init__(self, attributes, interner, codes, up, lo) -> None:
+        super().__init__(attributes, interner, codes)
         self.up = up
         self.lo = lo
-        self.interner = interner
-
-    def __len__(self) -> int:
-        return self.up.shape[0]
-
-    def index_of(self, attribute: str) -> int:
-        try:
-            return self.attributes.index(attribute)
-        except ValueError:
-            raise PlanError(
-                f"unknown attribute {attribute!r} of {self.attributes}"
-            ) from None
 
     def take(self, idx: np.ndarray) -> "_BoundsRel":
         return _BoundsRel(
-            self.attributes,
-            self.codes[idx],
-            self.up[idx],
+            self.attributes, self.interner, self.codes[idx], self.up[idx],
             self.lo[idx],
-            self.interner,
         )
 
 
 def _split_lower(lo: np.ndarray, fanout: np.ndarray) -> tuple[np.ndarray, int]:
     """The symmetric failure split ``p' = 1 - (1-p)^(1/c)`` where ``c > 1``.
 
-    Computed as ``-expm1(log1p(-p) / c)`` for precision near 0 and 1;
-    ``p = 1`` rows are fixed points and skipped (no offending tuple is
-    certain by definition).
+    Computed as ``-expm1(log(1-p) / c)`` in log space for precision near 0
+    and 1; ``p = 1`` rows are fixed points and skipped (no offending tuple
+    is certain by definition).
     """
     mask = (fanout > 1) & (lo < 1.0)
     if not mask.any():
         return lo, 0
     out = lo.copy()
-    with np.errstate(divide="ignore"):
-        out[mask] = -np.expm1(np.log1p(-lo[mask]) / fanout[mask])
+    out[mask] = -np.expm1(_columnar.log_complement(lo[mask]) / fanout[mask])
     return out, int(mask.sum())
-
-
-def _or_fold(
-    gid: np.ndarray, groups: int, first: np.ndarray, probs: np.ndarray
-) -> np.ndarray:
-    """Per-group independent-OR fold ``1 - Π(1-p)``, singletons bit-exact."""
-    counts = np.bincount(gid, minlength=groups)
-    with np.errstate(divide="ignore"):
-        logs = np.log1p(-probs)
-    out = np.clip(-np.expm1(np.bincount(gid, weights=logs, minlength=groups)),
-                  0.0, 1.0)
-    single = counts == 1
-    out[single] = probs[first[single]]
-    return out
 
 
 class DissociationEvaluator:
     """Evaluate a plan's dissociation bounds extensionally.
+
+    Reentrant: the split count travels with each evaluation, so one
+    evaluator (and its scan cache) may serve concurrent calls.
 
     Examples
     --------
@@ -204,20 +176,16 @@ class DissociationEvaluator:
 
     def __init__(self, db: ProbabilisticDatabase) -> None:
         self.db = db
-        self._interner = ValueInterner()
-        self._base_cache: dict = {}
-        #: Incremented per evaluation by the join splits (reset each call).
-        self._dissociated = 0
+        self._scanner = _columnar.BaseScanner()
 
     # ------------------------------------------------------------ entry points
     def evaluate(self, plan: Plan) -> DissociationResult:
         """Dissociation bounds of every answer of *plan*."""
         plan_schema(plan, self.db)
-        self._dissociated = 0
         start = time.perf_counter()
         with _span("dissociation", engine="columnar") as sp:
-            rel = self._eval(plan)
-            values = self._interner.decode_column(rel.codes.reshape(-1))
+            rel, dissociated = self._eval(plan)
+            values = rel.interner.decode_column(rel.codes.reshape(-1))
             k = len(rel.attributes)
             bounds = {}
             for i in range(len(rel)):
@@ -226,12 +194,12 @@ class DissociationEvaluator:
                     rel.lo[i], rel.up[i], "dissociation"
                 )
             sp.add("answers", len(bounds))
-            sp.add("dissociated", self._dissociated)
+            sp.add("dissociated", dissociated)
         return DissociationResult(
             attributes=tuple(rel.attributes),
             bounds=bounds,
             seconds=time.perf_counter() - start,
-            dissociated=self._dissociated,
+            dissociated=dissociated,
         )
 
     def evaluate_query(
@@ -240,156 +208,63 @@ class DissociationEvaluator:
         """Bounds for the left-deep plan of *query*."""
         return self.evaluate(left_deep_plan(query, join_order))
 
-    # ------------------------------------------------------- columnar operators
-    def _base_arrays(self, name: str):
-        base = self.db[name]
-        key = (name, id(base), len(base))
-        hit = self._base_cache.get(key)
-        if hit is None:
-            hit = _columnar.encode_base(base, self._interner)
-            self._base_cache[key] = hit
-        return hit
-
-    def _eval(self, plan: Plan) -> _BoundsRel:
+    # --------------------------------------------------------------- recursion
+    def _eval(self, plan: Plan) -> tuple[_BoundsRel, int]:
+        """The plan's relation and the fanout splits applied below it."""
         if isinstance(plan, Scan):
-            return self._scan(plan)
-        if isinstance(plan, Select):
-            rel = self._eval(plan.child)
-            mask = np.ones(len(rel), dtype=bool)
-            for attr, value in plan.conditions:
-                code = self._interner.code_of(value)
-                if code is None:
-                    mask[:] = False
-                else:
-                    mask &= rel.codes[:, rel.index_of(attr)] == code
-            return rel.take(np.flatnonzero(mask))
-        if isinstance(plan, Filter):
-            rel = self._eval(plan.child)
-            mask = np.ones(len(rel), dtype=bool)
-            for comparison in plan.predicates:
-                mask &= comparison.mask(rel)
-            return rel.take(np.flatnonzero(mask))
-        if isinstance(plan, Project):
-            return self._project(self._eval(plan.child), plan.attributes)
+            attributes, codes, probs = self._scanner.scan(
+                self.db[plan.relation], plan.terms
+            )
+            return _BoundsRel(
+                attributes, self._scanner.interner, codes, probs, probs
+            ), 0
         if isinstance(plan, Join):
-            return self._join(
-                self._eval(plan.left), self._eval(plan.right), plan.on
-            )
-        raise PlanError(f"unknown plan node {plan!r}")
+            left, left_splits = self._eval(plan.left)
+            right, right_splits = self._eval(plan.right)
+            rel, splits = self._join(left, right, plan.on)
+            return rel, left_splits + right_splits + splits
+        if not isinstance(plan, (Select, Filter, Project)):
+            raise PlanError(f"unknown plan node {plan!r}")
+        rel, splits = self._eval(plan.child)
+        if isinstance(plan, Project):
+            return self._project(rel, plan.attributes), splits
+        if isinstance(plan, Select):
+            mask = _columnar.eq_mask(rel, plan.conditions)
+        else:
+            mask = _columnar.where_mask(rel, list(plan.predicates))
+        return rel.take(np.flatnonzero(mask)), splits
 
-    def _scan(self, scan: Scan) -> _BoundsRel:
-        base = self.db[scan.relation]
-        codes, probs = self._base_arrays(scan.relation)
-        if scan.terms is None:
-            return _BoundsRel(
-                base.schema.attributes, codes, probs, probs, self._interner
-            )
-        if len(scan.terms) != base.schema.arity:
-            raise PlanError(
-                f"scan of {scan.relation}: {len(scan.terms)} terms for arity "
-                f"{base.schema.arity}"
-            )
-        mask = np.ones(len(base), dtype=bool)
-        var_first: dict[str, int] = {}
-        for i, t in enumerate(scan.terms):
-            if isinstance(t, Constant):
-                code = self._interner.code_of(t.value)
-                mask = (
-                    mask & (codes[:, i] == code)
-                    if code is not None
-                    else np.zeros(len(base), dtype=bool)
-                )
-            elif t.name in var_first:
-                mask &= codes[:, i] == codes[:, var_first[t.name]]
-            else:
-                var_first[t.name] = i
-        idx = np.flatnonzero(mask)
-        positions = list(var_first.values())
-        sub = (
-            codes[idx][:, positions]
-            if positions
-            else np.empty((idx.size, 0), dtype=np.int64)
-        )
-        return _BoundsRel(
-            tuple(var_first), sub, probs[idx], probs[idx], self._interner
-        )
-
-    def _project(self, rel: _BoundsRel, attributes) -> _BoundsRel:
+    @staticmethod
+    def _project(rel: _BoundsRel, attributes) -> _BoundsRel:
+        """Both folds OR-combine each group; ``lo`` is capped at ``up``."""
         positions = [rel.index_of(a) for a in attributes]
-        n = len(rel)
-        cols = [rel.codes[:, j] for j in positions]
-        gid, groups, first = _columnar._group_first_occurrence(n, cols)
-        if groups == 0:
-            return _BoundsRel(
-                attributes,
-                np.empty((0, len(positions)), dtype=np.int64),
-                np.empty(0),
-                np.empty(0),
-                self._interner,
-            )
-        up = _or_fold(gid, groups, first, rel.up)
-        lo = _or_fold(gid, groups, first, rel.lo)
+        gid, groups, first = _columnar._group_first_occurrence(
+            len(rel), [rel.codes[:, j] for j in positions]
+        )
+        up = _columnar.or_fold(gid, groups, first, rel.up)
+        lo = _columnar.or_fold(gid, groups, first, rel.lo)
         return _BoundsRel(
             attributes,
-            rel.codes[first][:, positions]
-            if positions
-            else np.empty((groups, 0), dtype=np.int64),
+            rel.interner,
+            rel.codes[first][:, positions],
             up,
             np.minimum(lo, up),
-            self._interner,
         )
 
-    def _join(self, left: _BoundsRel, right: _BoundsRel, on) -> _BoundsRel:
-        lpos = [left.index_of(a) for a in on]
-        rpos = [right.index_of(a) for a in on]
-        keep = [
-            i for i, a in enumerate(right.attributes) if a not in set(on)
-        ]
-        nl, nr = len(left), len(right)
-        # Per-key fanout of each side seen from the other: the dissociation
-        # degree c of every row (how many copies its partner-joins create).
-        fused = _columnar._fuse(
-            nl + nr,
-            [
-                np.concatenate([left.codes[:, lj], right.codes[:, rj]])
-                for lj, rj in zip(lpos, rpos)
-            ],
-        )
-        lkeys, rkeys = fused[:nl], fused[nl:]
-        uniq, inverse = np.unique(np.concatenate([lkeys, rkeys]),
-                                  return_inverse=True)
-        linv, rinv = inverse[:nl], inverse[nl:]
-        lcount = np.bincount(linv, minlength=uniq.size)
-        rcount = np.bincount(rinv, minlength=uniq.size)
-        lo_l, nsplit = _split_lower(left.lo, rcount[linv])
-        self._dissociated += nsplit
-        lo_r, nsplit = _split_lower(right.lo, lcount[rinv])
-        self._dissociated += nsplit
-        # Pair enumeration, exactly like pl_join_raw.
-        r_order = np.argsort(rkeys, kind="stable")
-        sorted_rkeys = rkeys[r_order]
-        starts = np.searchsorted(sorted_rkeys, lkeys, "left")
-        ends = np.searchsorted(sorted_rkeys, lkeys, "right")
-        counts = ends - starts
-        li = np.repeat(np.arange(nl), counts)
-        ri = r_order[_columnar._concat_ranges(starts, counts)]
-        codes = np.concatenate(
-            [
-                left.codes[li],
-                right.codes[ri][:, keep]
-                if keep
-                else np.empty((li.size, 0), dtype=np.int64),
-            ],
-            axis=1,
-        )
+    @staticmethod
+    def _join(left: _BoundsRel, right: _BoundsRel, on) -> tuple[_BoundsRel, int]:
+        """Multiply matched pairs; the lower fold first splits every row by
+        its partner count (the dissociation degree ``c``)."""
+        m = _columnar.match_join(left, right, on)
+        lo_l, left_splits = _split_lower(left.lo, m.left_fanout)
+        lo_r, right_splits = _split_lower(right.lo, m.right_fanout)
         return _BoundsRel(
-            left.attributes
-            + tuple(a for a in right.attributes if a not in set(on)),
-            codes,
-            left.up[li] * right.up[ri],
-            lo_l[li] * lo_r[ri],
-            self._interner,
-        )
+            m.attributes,
+            left.interner,
+            m.codes(left, right),
+            left.up[m.li] * right.up[m.ri],
+            lo_l[m.li] * lo_r[m.ri],
+        ), left_splits + right_splits
 
 
 def dissociation_bounds(

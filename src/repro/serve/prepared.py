@@ -14,12 +14,12 @@ database *snapshot* and reuses, across every request:
   prepared plan's results.
 
 Only the operator-pipeline phase is serialised (one lock per prepared
-query: the evaluator's interner and base-encode cache are per-statement
-mutable state); the expensive final-inference phase runs outside the lock,
-so concurrent requests overlap where it matters. Commits invalidate
-structurally: the prepared query compares the database version it last saw
-and flushes the base-encode/circuit caches only when the committed state
-actually moved — a rolled-back transaction costs nothing.
+query: the evaluator is pointed at each request's snapshot); the expensive
+final-inference phase runs outside the lock, so concurrent requests overlap
+where it matters. Commits invalidate structurally: a base encoding is keyed
+on the relation object and its mutation counter, so only the relations a
+commit replaced are re-encoded, and the circuit cache is flushed by the
+database's mutation hooks — a rolled-back transaction costs nothing.
 """
 
 from __future__ import annotations
@@ -82,24 +82,17 @@ class PreparedQuery:
             db, circuit_cache=self.circuit_cache
         )
         self._lock = threading.Lock()
-        self._seen_version = db.version
         self.prepared_at = time.time()
         self.requests = 0
 
-    def evaluate(self, snapshot, version: int, budget=None) -> EvaluationResult:
-        """Run the operator pipeline against *snapshot* (at db *version*).
+    def evaluate(self, snapshot, budget=None) -> EvaluationResult:
+        """Run the operator pipeline against *snapshot*.
 
         Serialised per prepared query; the returned result's final
         inference (``answer_probabilities`` etc.) is thread-safe and runs
-        outside the lock. When the committed version moved since the last
-        request, the base-encode cache is flushed first — the structural
-        invalidation commit promises (rollbacks never get here because the
-        version never moves).
+        outside the lock.
         """
         with self._lock:
-            if version != self._seen_version:
-                self._evaluator.invalidate_cache()
-                self._seen_version = version
             self._evaluator.db = snapshot
             result = self._evaluator.evaluate(self.plan, budget=budget)
             self.requests += 1

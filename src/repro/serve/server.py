@@ -239,7 +239,7 @@ class Server:
                     replace(budget, deadline_seconds=None, started_at=None)
                     if budget is not None else None
                 )
-                result = statement.evaluate(snapshot, version, pipeline_budget)
+                result = statement.evaluate(snapshot, pipeline_budget)
                 payload = self._ladder_payload(
                     result, statement, budget,
                     fault_plan=fault_plan, chunk_timeout=chunk_timeout,
@@ -251,12 +251,12 @@ class Server:
                 payload = self._bounds_payload(statement, snapshot)
                 note = "pipeline budget exceeded; dissociation bounds served"
         elif effective == "exact":
-            result = statement.evaluate(snapshot, version, budget)
+            result = statement.evaluate(snapshot, budget)
             payload = self._exact_payload(result, statement, budget)
         else:  # auto: exact-first, degrade instead of failing
             result = None
             try:
-                result = statement.evaluate(snapshot, version, budget)
+                result = statement.evaluate(snapshot, budget)
                 payload = self._exact_payload(result, statement, budget)
             except BudgetExceededError:
                 if result is None:

@@ -96,7 +96,7 @@ def rst_database(n: int, density: float, seed: int) -> ProbabilisticDatabase:
     lineage is ``rst_lineage(n, density, seed)``."""
     dnf, probs = rst_lineage(n, density, seed)
     rows = {"R": {}, "S": {}, "T": {}}
-    for v in dnf.variables():
+    for v in sorted(dnf.variables()):
         rows[v.relation][(0,) + v.row] = probs[v]
     db = ProbabilisticDatabase()
     db.add_relation("R1", ("H", "A"), rows["R"])

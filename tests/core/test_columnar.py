@@ -29,6 +29,7 @@ from repro.core.executor import PartialLineageEvaluator
 from repro.core.network import EPSILON, AndOrNetwork, NodeKind
 from repro.core.plrelation import PLRelation
 from repro.db import ProbabilisticDatabase
+from repro.dissociation import DissociationEvaluator
 from repro.errors import ProbabilityError, SchemaError
 from repro.query.parser import parse_query
 from repro.sqlbackend import SQLitePartialLineageEvaluator
@@ -481,11 +482,54 @@ class TestEngineKnob:
         query = parse_query("q(x) :- R(x), S(x,y)")
         ev = PartialLineageEvaluator(db)
         first = ev.evaluate_query(query).answer_probabilities()
-        assert ev._base_cache
+        cache = ev._scanner._cache
+        entries = dict(cache)
+        assert set(entries) == {"R", "S"}
         again = ev.evaluate_query(query).answer_probabilities()
         assert again == first
+        # Reused, not re-encoded: the very same cache entries.
+        assert all(cache[name] is entry for name, entry in entries.items())
         ev.invalidate_cache()
-        assert not ev._base_cache
+        assert not cache
+
+    def test_reused_evaluators_see_in_place_mutations(self):
+        """Warm evaluators of both folds must agree with fresh ones after a
+        direct ``set_probability``, after a remove + add that keeps the
+        relation's length, and after a transaction commit."""
+        db = ProbabilisticDatabase()
+        db.add_relation("R", ("A",), {(1,): 0.5})
+        db.add_relation("S", ("A", "B"), {(1, 1): 0.5, (1, 2): 0.5})
+        db.add_relation("T", ("B",), {(1,): 1.0, (2,): 1.0})
+        query = parse_query("q() :- R(x), S(x,y), T(y)")
+        warm_pl = PartialLineageEvaluator(db)
+        warm_bounds = DissociationEvaluator(db)
+
+        def check() -> float:
+            fresh = PartialLineageEvaluator(db).evaluate_query(query)
+            expected = fresh.answer_probabilities()
+            assert (
+                warm_pl.evaluate_query(query).answer_probabilities()
+                == expected
+            )
+            fresh_bounds = DissociationEvaluator(db).evaluate_query(query)
+            bounds = warm_bounds.evaluate_query(query)
+            assert list(bounds.bounds.items()) == list(
+                fresh_bounds.bounds.items()
+            )
+            assert bounds.dissociated == fresh_bounds.dissociated
+            return expected.get((), 0.0)
+
+        assert check() == pytest.approx(0.375)
+        db["R"].set_probability((1,), 0.9)
+        assert check() == pytest.approx(0.675)
+        db["S"].remove((1, 2))
+        db["S"].add((1, 3), 0.5)  # same length, different contents
+        assert check() == pytest.approx(0.45)
+        with db.transaction() as txn:
+            txn.set_probability("T", (1,), 0.5)
+        assert check() == pytest.approx(0.225)
+        # Each relation keeps one entry: re-encodings replace, not pile up.
+        assert set(warm_pl._scanner._cache) == {"R", "S", "T"}
 
     def test_join_stats_record_wall_time(self):
         db = self.make_db()

@@ -169,25 +169,27 @@ class TestCacheInvalidation:
         cache = CircuitCache()
         evaluator = PartialLineageEvaluator(db, circuit_cache=cache)
         self._evaluate(evaluator)
-        base_keys = set(evaluator._base_cache)
-        assert base_keys  # warm after one evaluation
+        base_cache = evaluator._scanner._cache
+        entries = dict(base_cache)
+        assert entries  # warm after one evaluation
         txn = db.begin()
         txn.insert("R", (3,), 0.25)
         txn.set_probability("S", (1, 1), 0.9)
         txn.rollback()
-        assert set(evaluator._base_cache) == base_keys
+        assert all(base_cache[name] is e for name, e in entries.items())
         # Second evaluation over the unchanged db reuses the encodings.
         self._evaluate(evaluator)
-        assert set(evaluator._base_cache) == base_keys
+        assert all(base_cache[name] is e for name, e in entries.items())
 
     def test_commit_defeats_stale_encodings(self, db):
         evaluator = PartialLineageEvaluator(db, circuit_cache=CircuitCache())
         before = self._evaluate(evaluator).answer_probabilities()
         with db.transaction() as txn:
             txn.set_probability("R", (1,), 0.9)
-        # Commit installs a NEW relation object, so the id-keyed base-encode
-        # cache misses instead of serving the stale matrix: the warm
-        # evaluator must agree with a cold one on the committed state.
+        # Commit installs a NEW relation object, so the base-encode cache
+        # (keyed on the relation object and its version) misses instead of
+        # serving the stale matrix: the warm evaluator must agree with a
+        # cold one on the committed state.
         after = self._evaluate(evaluator).answer_probabilities()
         cold = self._evaluate(
             PartialLineageEvaluator(db)
