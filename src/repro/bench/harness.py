@@ -187,19 +187,17 @@ def run_sampling(
     bench: BenchmarkQuery,
     samples: int = 5000,
     seed: int = 0,
-    method: str = "auto",
 ) -> MethodResult:
     """Approximate baseline: Karp-Luby on the full lineage of every answer.
 
     *seed* always feeds a fresh generator, so benchmark runs never fall back
-    to an unseeded ``random.Random()``; *method* picks the vectorized or
-    scalar estimator (see :func:`repro.lineage.sampling.karp_luby`).
+    to an unseeded ``random.Random()``.
     """
     rng = random.Random(seed)
     start = time.perf_counter()
     dnfs, probs = answer_lineages(bench.query, db)
     answers = {
-        answer: karp_luby(dnf, probs, samples, rng, method=method)
+        answer: karp_luby(dnf, probs, samples, rng)
         for answer, dnf in dnfs.items()
     }
     seconds = time.perf_counter() - start
@@ -209,7 +207,7 @@ def run_sampling(
         answers,
         seconds,
         samples_per_sec=drawn / seconds if seconds > 0 else 0.0,
-        extra={"samples": samples, "method": method},
+        extra={"samples": samples},
     )
 
 

@@ -20,7 +20,7 @@ from typing import Mapping
 
 from repro.bid.relation import BIDDatabase
 from repro.errors import InferenceError
-from repro.lineage.dnf import DNF, EventVar
+from repro.lineage.dnf import DNF, EventVar, lineage_of_query
 from repro.lineage.masks import (
     Formula,
     bits,
@@ -29,7 +29,6 @@ from repro.lineage.masks import (
     encode,
     split,
 )
-from repro.query.grounding import all_groundings
 from repro.query.syntax import ConjunctiveQuery
 
 
@@ -191,23 +190,12 @@ def bid_query_probability(
     >>> round(bid_query_probability(q, db), 6)
     0.3
     """
-    instance = db.deterministic_instance()
-    clauses = []
-    for ground in all_groundings(query.boolean_view(), instance):
-        clauses.append(
-            frozenset(EventVar(rel, row) for rel, row in ground.items())
-        )
-    dnf = DNF(clauses)
+    dnf, probs = lineage_of_query(query, db)
     if dnf.is_false:
         return 0.0
-    probs = {v: db[v.relation].probability(v.row) for v in dnf.variables()}
-
-    def block_key(v: EventVar):
-        return (v.relation, db[v.relation].block_key(v.row))
-
     mentioned: dict[object, float] = {}
-    for v in dnf.variables():
-        key = block_key(v)
+    for v in sorted(dnf.variables()):
+        key = db.block_of(v)
         mentioned[key] = mentioned.get(key, 0.0) + probs[v]
 
     def none_probability(key) -> float:
@@ -216,5 +204,5 @@ def bid_query_probability(
         return max(0.0, 1.0 - mentioned[key])
 
     return block_dnf_probability(
-        dnf, probs, block_key, none_probability, max_calls
+        dnf, probs, db.block_of, none_probability, max_calls
     )

@@ -182,6 +182,13 @@ class BIDDatabase:
         """All alternatives of all relations (for lineage grounding)."""
         return {rel.name: set(rel.rows()) for rel in self}
 
+    def block_of(self, var) -> tuple[str, Row]:
+        """The block of a lineage variable's alternative: ``(relation, key)``.
+
+        Variables sharing it are mutually exclusive.
+        """
+        return var.relation, self[var.relation].block_key(var.row)
+
     # ----------------------------------------------------- possible worlds
     def enumerate_worlds(
         self, max_blocks: int = 14

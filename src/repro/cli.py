@@ -526,8 +526,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
         # unseeded random.Random() — benchmark runs stay reproducible.
         methods.append(
             lambda db, bench: run_sampling(
-                db, bench, samples=args.samples, seed=args.seed,
-                method=args.mc_method,
+                db, bench, samples=args.samples, seed=args.seed
             )
         )
     with _observed(args):
@@ -768,9 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run Karp-Luby sampling")
     w.add_argument("--samples", type=int, default=5000,
                    help="Monte-Carlo samples for --sample (default 5000)")
-    w.add_argument("--mc-method", default="auto",
-                   choices=("auto", "vectorized", "scalar"),
-                   help="sampling implementation for --sample")
     w.add_argument("--save", metavar="DIR",
                    help="persist the generated instance as CSV files")
     w.add_argument("--workers", type=int, default=None,

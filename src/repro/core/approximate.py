@@ -76,17 +76,7 @@ def forward_sample_marginal(
     >>> abs(est - 0.49) < 0.01
     True
     """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    if node == EPSILON:
-        return 1.0
-    rng = rng or random.Random()
-    relevant = sorted(net.ancestors([node]))
-    hits = 0
-    for _ in range(samples):
-        if forward_sample_once(net, relevant, rng)[node]:
-            hits += 1
-    return hits / samples
+    return forward_sample_marginals(net, [node], samples, rng)[node]
 
 
 def forward_sample_marginals(
@@ -102,7 +92,7 @@ def forward_sample_marginals(
     targets = [v for v in dict.fromkeys(nodes) if v != EPSILON]
     relevant = sorted(net.ancestors(targets))
     hits = {v: 0 for v in targets}
-    for _ in range(samples):
+    for _ in range(samples if targets else 0):
         values = forward_sample_once(net, relevant, rng)
         for v in targets:
             hits[v] += values[v]

@@ -2,52 +2,62 @@
 
 Renders a plan as an annotated tree and — given a database — predicts each
 join's data safety *before* running it, using the Proposition 3.2 predicate
-on the base relations and conservative propagation through the plan. The
+on the scans' output (constants and repeated variables applied). The
 prediction is exact for joins whose inputs are base scans (the common first
-join, where most conditioning happens) and marked "≤" (an upper bound of
-"safe") elsewhere.
+join, where most conditioning happens) and "data-dependent" elsewhere.
 
 Also exports And-Or networks and plans to Graphviz DOT text for inspection.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.core.columnar import BaseScanner, CodedRelation, match_join
 from repro.core.executor import EvaluationResult
 from repro.core.network import EPSILON, AndOrNetwork, NodeKind
 from repro.core.plan import Filter, Join, Plan, Project, Scan, Select, plan_schema
-from repro.core.safety import join_offending_tuples
 from repro.db.database import ProbabilisticDatabase
-from repro.query.syntax import Variable
 
 
-def scan_base_key(scan: Scan, db: ProbabilisticDatabase, on: tuple[str, ...]):
-    """Map join attributes (variable names) back to base columns of a scan:
-    ``(base relation, columns)``, or ``None`` if one is not a scan variable."""
-    rel = db[scan.relation]
-    if scan.terms is None:
-        return rel, tuple(on)
-    cols = []
-    for name in on:
-        for i, t in enumerate(scan.terms):
-            if isinstance(t, Variable) and t.name == name:
-                cols.append(rel.schema.attributes[i])
-                break
-        else:
-            return None
-    return rel, tuple(cols)
+def scan_output(
+    scanner: BaseScanner, db: ProbabilisticDatabase, scan: Scan
+) -> tuple[CodedRelation, np.ndarray]:
+    """The rows a base scan yields (its constants and repeated variables
+    applied), as a coded relation over the scan's attributes plus the
+    probability column — exactly the scan the evaluator runs."""
+    attributes, codes, probs = scanner.scan(db[scan.relation], scan.terms)
+    rel = CodedRelation(attributes, scanner.interner, codes, scan.relation)
+    return rel, probs
 
 
-def _join_annotation(join: Join, db: ProbabilisticDatabase) -> str:
+def scan_join_offending(
+    scanner: BaseScanner,
+    db: ProbabilisticDatabase,
+    left: Scan,
+    right: Scan,
+    on: tuple[str, ...],
+) -> tuple[int, int]:
+    """Offending tuples (Definition 5.14) on each side of ``left ⋈_on right``
+    over two base scans: the counts the evaluator conditions at that join."""
+    lrel, lprobs = scan_output(scanner, db, left)
+    rrel, rprobs = scan_output(scanner, db, right)
+    m = match_join(lrel, rrel, on)
+    return (
+        int(((lprobs < 1.0) & (m.left_fanout > 1)).sum()),
+        int(((rprobs < 1.0) & (m.right_fanout > 1)).sum()),
+    )
+
+
+def _join_annotation(
+    join: Join, db: ProbabilisticDatabase, scanner: BaseScanner
+) -> str:
     """Predict the join's offending counts where both sides are base scans."""
     if not (isinstance(join.left, Scan) and isinstance(join.right, Scan)):
         return "offending: data-dependent (inputs are derived)"
-    left = scan_base_key(join.left, db, join.on)
-    right = scan_base_key(join.right, db, join.on)
-    if left is None or right is None:
-        return "offending: data-dependent"
-    (lrel, lkey), (rrel, rkey) = left, right
-    loff = len(join_offending_tuples(lrel, rrel, lkey, rkey))
-    roff = len(join_offending_tuples(rrel, lrel, rkey, lkey))
+    loff, roff = scan_join_offending(
+        scanner, db, join.left, join.right, join.on
+    )
     if loff == roff == 0:
         return "data safe (no offending tuples)"
     return f"offending: {loff} left + {roff} right tuples will be conditioned"
@@ -68,16 +78,17 @@ def explain(plan: Plan, db: ProbabilisticDatabase | None = None) -> str:
        └─ scan S(x, y)
     """
     lines: list[str] = []
+    scanner = BaseScanner()
 
     def annotate(node: Plan) -> str:
         if db is None:
             return ""
         if isinstance(node, Join):
-            return f"   -- {_join_annotation(node, db)}"
+            return f"   -- {_join_annotation(node, db, scanner)}"
         if isinstance(node, Scan):
-            rel = db[node.relation]
-            uncertain = len(rel.uncertain_rows())
-            return f"   -- {len(rel)} tuples, {uncertain} uncertain"
+            _, probs = scan_output(scanner, db, node)
+            uncertain = int((probs < 1.0).sum())
+            return f"   -- {probs.size} tuples, {uncertain} uncertain"
         return ""
 
     def walk(node: Plan, prefix: str, connector: str) -> None:

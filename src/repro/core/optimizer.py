@@ -24,6 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.executor import EvaluationResult, PartialLineageEvaluator
 from repro.core.inference import induced_width, network_factors
 from repro.core.plan import Plan, Scan, left_deep_plan
@@ -125,18 +127,19 @@ def estimate_order(
 ) -> PlanChoice:
     """Statistics-only costing: no evaluation, no network.
 
-    Uses fanout profiles (Proposition 3.2's predicate on base relations) to
-    count the *first* join's offending tuples exactly, and charges later
-    joins optimistically by their base-side uncertain-multi statistics. The
-    width/size fields are left at 0 — this mode ranks orders by predicted
-    conditioning only, trading the exactness of :func:`cost_order` for
-    constant-time costing on large instances.
+    Counts the *first* join's offending tuples exactly, over the two scans'
+    output (:func:`~repro.core.explain.scan_join_offending`), and charges
+    later joins optimistically by the fresh scan's uncertain tuples that
+    share their join key with another row. The width/size fields are left
+    at 0 — this mode ranks orders by predicted conditioning only, trading
+    the exactness of :func:`cost_order` for costing without a network.
     """
-    from repro.core.explain import scan_base_key
-    from repro.core.safety import join_offending_tuples
-    from repro.db.statistics import fanout_profile
+    from repro.core.columnar import BaseScanner
+    from repro.core.explain import scan_join_offending, scan_output
 
     atom_by_name = {a.relation: a for a in query.atoms}
+    scans = {a.relation: Scan(a.relation, a.terms) for a in query.atoms}
+    scanner = BaseScanner()
 
     def join_vars(done, name: str) -> tuple[str, ...]:
         # exactly the attributes left_deep_plan joins on: shared variables
@@ -145,32 +148,29 @@ def estimate_order(
         mine = {v.name for v in atom_by_name[name].variables()}
         return tuple(sorted(prior & mine))
 
-    def base_key(name: str, names: tuple[str, ...]) -> tuple[str, ...]:
-        # *names* are variables of the atom, so the lookup always succeeds
-        return scan_base_key(Scan(name, atom_by_name[name].terms), db, names)[1]
+    def uncertain(name: str) -> int:
+        return int((scan_output(scanner, db, scans[name])[1] < 1.0).sum())
 
     offending = 0
     done: list[str] = []
-    for i, name in enumerate(order):
-        if i > 0:
-            shared = join_vars(done, name)
-            if shared:
-                # the fresh (base) side's exact worst case against any left
-                profile = fanout_profile(db[name], base_key(name, shared))
-                offending += profile.uncertain_multi if i > 1 else 0
-                if i == 1:
-                    lrel, rrel = db[done[0]], db[name]
-                    lkey = base_key(done[0], shared)
-                    rkey = base_key(name, shared)
-                    offending += len(
-                        join_offending_tuples(lrel, rrel, lkey, rkey)
-                    ) + len(join_offending_tuples(rrel, lrel, rkey, lkey))
-            else:
-                # cross product: every uncertain tuple of the smaller side
-                offending += min(
-                    len(db[name].uncertain_rows()),
-                    sum(len(db[d].uncertain_rows()) for d in done),
-                )
+    for name in order:
+        shared = join_vars(done, name)
+        if shared and len(done) == 1:
+            offending += sum(scan_join_offending(
+                scanner, db, scans[done[0]], scans[name], shared
+            ))
+        elif shared:
+            # the fresh (base) side's uncertain rows sharing their join key
+            rel, probs = scan_output(scanner, db, scans[name])
+            key = rel.codes[:, [rel.index_of(a) for a in shared]]
+            _, group, sizes = np.unique(
+                key, axis=0, return_inverse=True, return_counts=True
+            )
+            shared_key = sizes[group.ravel()] > 1
+            offending += int(((probs < 1.0) & shared_key).sum())
+        elif done:
+            # cross product: every uncertain tuple of the smaller side
+            offending += min(uncertain(name), sum(uncertain(d) for d in done))
         done.append(name)
     return PlanChoice(
         order=tuple(order),

@@ -152,7 +152,8 @@ def lineage_of_query(
 
     Grounding ranges over *all* tuples of the database (deterministic ones
     included — they become probability-1 variables, which the inference
-    engines simplify away).
+    engines simplify away). A :class:`~repro.bid.BIDDatabase` grounds the
+    same way, one variable per block alternative.
 
     Examples
     --------
@@ -186,6 +187,7 @@ def answer_lineages(
     """Per-answer lineages for a query with head variables.
 
     Returns a map ``answer row -> DNF`` plus one shared probability map.
+    Like :func:`lineage_of_query`, it also grounds a BID database.
     """
     instance = db.deterministic_instance()
     by_answer: dict[Row, list[frozenset[EventVar]]] = {}

@@ -5,37 +5,40 @@ Two estimators, used as approximate baselines (Section 7 mentions sampling
 
 * :func:`naive_monte_carlo` — sample full worlds, count satisfying ones.
   Unbiased, but needs many samples when ``Pr(F)`` is small.
+  :func:`monte_carlo_answers` is the same estimator over many DNFs at once
+  (every sampled world decides every DNF); :mod:`repro.mc` runs it on a
+  query's grounded lineage.
 * :func:`karp_luby` — the classic FPRAS for DNF counting: sample a clause
   with probability proportional to its weight, then a world conditioned on
   that clause being true, and estimate the union via the first-satisfied-
   clause indicator. Relative-error guarantees independent of ``Pr(F)``.
 
-Each estimator has two interchangeable implementations selected by the
-``method`` flag:
+Both draw worlds in NumPy blocks, through one world-draw step and one
+hit-count kernel:
 
-* ``"vectorized"`` (the ``"auto"`` default) — worlds are drawn in NumPy
-  blocks: one ``(batch, n_vars)`` uniform matrix compared against the
-  probability vector, clause satisfaction decided by one matrix product
-  against the clause-incidence matrix, and Karp-Luby's first-satisfied-clause
-  check done with ``argmax`` over the ``(batch, n_clauses)`` boolean array.
-  One to two orders of magnitude faster than the loop at benchmark sample
-  counts.
-* ``"scalar"`` — the original pure-Python loop, kept as the readable
-  reference implementation the statistical tests cross-check against.
+* :class:`WorldLayout` draws a ``(batch, n_vars)`` boolean world matrix:
+  one uniform ``u`` per block and world, and a variable holds when ``u``
+  falls in its slice ``[lo, hi)`` of the block's cumulative probability.
+  A tuple-independent variable is a singleton block, whose test is
+  ``u < p``; the alternatives of a BID block get consecutive slices, so at
+  most one of them holds, and none does when ``u`` lies past the last
+  slice. Alternatives the lineage never mentions belong to that "none"
+  remainder.
+* :func:`_satisfied` decides every clause for a block of worlds with one
+  matrix product against the clause-incidence matrix. The naive estimator
+  takes an ``any`` over each DNF's clause rows, Karp-Luby an ``argmax`` for
+  the first satisfied clause.
 
-Both paths are unbiased and statistically equivalent; they consume
-randomness differently, so estimates agree only within sampling tolerance.
-The scalar path accepts any generator with ``random()`` (``random.Random``
-or a seeded instance); the vectorized path accepts ``numpy.random.Generator``
-directly or derives one deterministically from the given ``random.Random``,
-keeping runs reproducible either way.
+Generators: a ``numpy.random.Generator`` is used directly; a
+``random.Random`` seeds a NumPy generator from its stream, so runs
+reproduce either way.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -46,16 +49,7 @@ from repro.lineage.dnf import DNF, EventVar, EventVarInterner
 #: so peak memory stays flat while throughput stays matrix-shaped.
 _BATCH_CELL_BUDGET = 4_000_000
 
-_METHODS = ("auto", "vectorized", "scalar")
-
-
-def _check_method(method: str) -> bool:
-    """Validate *method*; True when the vectorized path should run."""
-    if method not in _METHODS:
-        raise ValueError(
-            f"unknown sampling method {method!r}; expected one of {_METHODS}"
-        )
-    return method != "scalar"
+_K = TypeVar("_K")
 
 
 def numpy_generator(
@@ -72,6 +66,57 @@ def numpy_generator(
     if rng is None:
         return np.random.default_rng()
     return np.random.default_rng(rng.getrandbits(128))
+
+
+@dataclass(frozen=True)
+class WorldLayout:
+    """Where each variable's slice ``[lo, hi)`` of its block's unit interval
+    lies; ``block_of`` is ``None`` when every variable is its own block."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    block_of: np.ndarray | None = None
+    blocks: int = 0
+
+    @classmethod
+    def independent(cls, p: np.ndarray) -> "WorldLayout":
+        """Tuple-independent variables with probabilities *p*."""
+        return cls(np.zeros_like(p), p)
+
+    @classmethod
+    def of(
+        cls,
+        variables: Sequence[EventVar],
+        p: np.ndarray,
+        block_key: Callable[[EventVar], Hashable] | None,
+    ) -> "WorldLayout":
+        """Layout of *variables* (probabilities *p*), grouped into blocks by
+        *block_key*; ``None`` means tuple-independent. Blocks are numbered in
+        first-occurrence order, so singleton blocks lay out exactly like
+        :meth:`independent`."""
+        if block_key is None:
+            return cls.independent(p)
+        ids: dict[Hashable, int] = {}
+        ends: list[float] = []
+        block_of = np.empty(len(variables), dtype=np.intp)
+        lo = np.empty_like(p)
+        for i, v in enumerate(variables):
+            b = ids.setdefault(block_key(v), len(ids))
+            if b == len(ends):
+                ends.append(0.0)
+            block_of[i] = b
+            lo[i] = ends[b]
+            ends[b] += p[i]
+        if len(ids) == len(variables):
+            return cls.independent(p)
+        return cls(lo, lo + p, block_of, len(ids))
+
+    def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """``(n, n_vars)`` boolean matrix of *n* sampled worlds."""
+        if self.block_of is None:
+            return gen.random((n, self.hi.size)) < self.hi
+        u = gen.random((n, self.blocks))[:, self.block_of]
+        return (self.lo <= u) & (u < self.hi)
 
 
 def _batches(samples: int, width: int, batch_size: int | None) -> Iterator[int]:
@@ -96,6 +141,13 @@ def _incidence(
         inc[row, list(clause)] = 1.0
     sizes = inc.sum(axis=1)
     return inc, sizes
+
+
+def _satisfied(
+    worlds: np.ndarray, inc: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """``(n, n_clauses)``: which clauses each sampled world satisfies."""
+    return (worlds.astype(np.float32) @ inc.T) >= sizes
 
 
 def _canonical_clauses(dnf: DNF) -> list[frozenset[EventVar]]:
@@ -132,19 +184,54 @@ def union_weight(dnf: DNF, probs: Mapping[EventVar, float]) -> float:
     return sum(_clause_weights(_canonical_clauses(dnf), probs))
 
 
-def _interned(
-    dnf: DNF, probs: Mapping[EventVar, float]
-) -> tuple[list[frozenset[int]], np.ndarray]:
-    """Clauses over dense ids plus the id-indexed probability vector."""
+def _interner(variables) -> EventVarInterner:
+    """Dense ids for *variables* in sorted order (hash-seed independent)."""
     interner = EventVarInterner()
-    for v in sorted(dnf.variables()):
+    for v in sorted(variables):
         interner.intern(v)
-    clauses = [
-        frozenset(interner.id_of(v) for v in c)
-        for c in _canonical_clauses(dnf)
-    ]
+    return interner
+
+
+def monte_carlo_answers(
+    dnfs: Mapping[_K, DNF],
+    probs: Mapping[EventVar, float],
+    samples: int,
+    rng: random.Random | np.random.Generator | None = None,
+    *,
+    block_key: Callable[[EventVar], Hashable] | None = None,
+    batch_size: int | None = None,
+) -> dict[_K, float]:
+    """Naive Monte-Carlo estimates of several DNFs from one world stream.
+
+    Each block of worlds is drawn once and decides every DNF: one
+    incidence-matrix product over all clause rows, then an ``any`` per DNF
+    over its own rows. *block_key* maps a variable to its BID block (see
+    :class:`WorldLayout`); ``None`` reads the variables as independent. DNFs
+    that no sampled world satisfies are left out of the result.
+    """
+    if samples <= 0:
+        raise ValueError("samples must be positive")
+    if not dnfs:
+        return {}
+    interner = _interner(set().union(*(f.variables() for f in dnfs.values())))
+    clause_rows: list[frozenset[int]] = []
+    spans: list[tuple[_K, int, int]] = []
+    for key, dnf in dnfs.items():
+        start = len(clause_rows)
+        clause_rows.extend(
+            frozenset(interner.id_of(v) for v in c) for c in dnf.clauses
+        )
+        spans.append((key, start, len(clause_rows)))
     p = np.asarray(interner.probability_vector(probs), dtype=np.float64)
-    return clauses, p
+    layout = WorldLayout.of(interner.variables(), p, block_key)
+    inc, sizes = _incidence(clause_rows, p.size)
+    gen = numpy_generator(rng)
+    counts = {key: 0 for key, _, _ in spans}
+    for n in _batches(samples, p.size, batch_size):
+        satisfied = _satisfied(layout.draw(gen, n), inc, sizes)
+        for key, start, stop in spans:
+            counts[key] += int(np.any(satisfied[:, start:stop], axis=1).sum())
+    return {key: count / samples for key, count in counts.items() if count}
 
 
 def naive_monte_carlo(
@@ -153,48 +240,18 @@ def naive_monte_carlo(
     samples: int,
     rng: random.Random | np.random.Generator | None = None,
     *,
-    method: str = "auto",
     batch_size: int | None = None,
 ) -> float:
     """Estimate ``Pr(dnf)`` by sampling *samples* independent worlds."""
     if samples <= 0:
         raise ValueError("samples must be positive")
-    vectorized = _check_method(method)
     if dnf.is_true:
         return 1.0
     if dnf.is_false:
         return 0.0
-    if vectorized:
-        return _naive_vectorized(dnf, probs, samples, rng, batch_size)
-    if isinstance(rng, np.random.Generator):
-        raise TypeError("the scalar path needs a random.Random generator")
-    rng = rng or random.Random()
-    variables = sorted(dnf.variables())
-    clauses = [sorted(c) for c in dnf.clauses]
-    hits = 0
-    for _ in range(samples):
-        world = {v: rng.random() < probs[v] for v in variables}
-        if any(all(world[v] for v in c) for c in clauses):
-            hits += 1
-    return hits / samples
-
-
-def _naive_vectorized(
-    dnf: DNF,
-    probs: Mapping[EventVar, float],
-    samples: int,
-    rng: random.Random | np.random.Generator | None,
-    batch_size: int | None,
-) -> float:
-    clauses, p = _interned(dnf, probs)
-    inc, sizes = _incidence(clauses, p.size)
-    gen = numpy_generator(rng)
-    hits = 0
-    for n in _batches(samples, p.size, batch_size):
-        worlds = gen.random((n, p.size)) < p
-        satisfied_vars = worlds.astype(np.float32) @ inc.T
-        hits += int(np.any(satisfied_vars >= sizes, axis=1).sum())
-    return hits / samples
+    return monte_carlo_answers(
+        {(): dnf}, probs, samples, rng, batch_size=batch_size
+    ).get((), 0.0)
 
 
 def karp_luby(
@@ -203,7 +260,6 @@ def karp_luby(
     samples: int,
     rng: random.Random | np.random.Generator | None = None,
     *,
-    method: str = "auto",
     batch_size: int | None = None,
 ) -> float:
     """Karp-Luby estimator for the probability of a DNF union.
@@ -216,56 +272,16 @@ def karp_luby(
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
-    vectorized = _check_method(method)
     if dnf.is_true:
         return 1.0
     if dnf.is_false:
         return 0.0
-    if vectorized:
-        return _karp_luby_vectorized(dnf, probs, samples, rng, batch_size)
-    if isinstance(rng, np.random.Generator):
-        raise TypeError("the scalar path needs a random.Random generator")
-    rng = rng or random.Random()
-    clauses = _canonical_clauses(dnf)
-    weights = _clause_weights(clauses, probs)
-    total = sum(weights)
-    if total == 0.0:
-        return 0.0
-    cumulative = []
-    acc = 0.0
-    for w in weights:
-        acc += w
-        cumulative.append(acc)
-    variables = sorted(dnf.variables())
-    hits = 0
-    for _ in range(samples):
-        r = rng.random() * total
-        index = bisect_left(cumulative, r)
-        chosen = clauses[index]
-        world = {
-            v: True if v in chosen else rng.random() < probs[v]
-            for v in variables
-        }
-        first = None
-        for j, c in enumerate(clauses):
-            if all(world[v] for v in c):
-                first = j
-                break
-        if first is None:
-            raise InferenceError("sampled world does not satisfy its own clause")
-        if first == index:
-            hits += 1
-    return total * hits / samples
-
-
-def _karp_luby_vectorized(
-    dnf: DNF,
-    probs: Mapping[EventVar, float],
-    samples: int,
-    rng: random.Random | np.random.Generator | None,
-    batch_size: int | None,
-) -> float:
-    clauses, p = _interned(dnf, probs)
+    interner = _interner(dnf.variables())
+    clauses = [
+        frozenset(interner.id_of(v) for v in c)
+        for c in _canonical_clauses(dnf)
+    ]
+    p = np.asarray(interner.probability_vector(probs), dtype=np.float64)
     n_vars = p.size
     inc, sizes = _incidence(clauses, n_vars)
     weights = np.array(
@@ -283,17 +299,16 @@ def _karp_luby_vectorized(
     for row, clause in enumerate(clauses):
         members = sorted(clause)
         padded[row, : len(members)] = members
-    p_ext = np.append(p, 1.0)
+    layout = WorldLayout.independent(np.append(p, 1.0))
 
     gen = numpy_generator(rng)
     hits = 0
     for n in _batches(samples, n_vars, batch_size):
         r = gen.random(n) * total
         chosen = np.searchsorted(cumulative, r, side="left")
-        worlds = gen.random((n, n_vars + 1)) < p_ext
+        worlds = layout.draw(gen, n)
         worlds[np.arange(n)[:, None], padded[chosen]] = True
-        satisfied_vars = worlds[:, :n_vars].astype(np.float32) @ inc.T
-        satisfied = satisfied_vars >= sizes
+        satisfied = _satisfied(worlds[:, :n_vars], inc, sizes)
         if not bool(satisfied[np.arange(n), chosen].all()):
             raise InferenceError("sampled world does not satisfy its own clause")
         first = np.argmax(satisfied, axis=1)

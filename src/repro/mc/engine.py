@@ -1,18 +1,18 @@
-"""World sampling and Monte-Carlo query evaluation.
+"""Monte-Carlo query evaluation over grounded lineage.
 
-The estimators come in two interchangeable implementations behind a
-``method`` flag, mirroring :mod:`repro.lineage.sampling`:
+Both estimators ground the query's lineage once (the Section 6.1 "N Boolean
+queries" view), then hand it to
+:func:`repro.lineage.sampling.monte_carlo_answers`, which draws worlds in
+NumPy blocks and decides every answer's lineage with one incidence-matrix
+product per block. That is the same as sampling whole
+database instances and running the deterministic query on each: a world
+satisfies the query (returns an answer) iff it satisfies the lineage
+(Definition 3.5).
 
-* ``"vectorized"`` (the ``"auto"`` default on tuple-independent databases) —
-  ground the query's lineage once, then draw worlds in NumPy blocks and
-  decide satisfaction with one matrix product per block against the
-  clause-incidence matrix. Statistically identical to sampling whole
-  database instances, orders of magnitude faster at benchmark sample
-  counts.
-* ``"scalar"`` — the original MCDB-style loop: sample a full instance, run
-  the deterministic query, tally. Works for every database (including BID
-  block-disjoint relations, which ``"auto"`` routes here) and stays as the
-  reference implementation the statistical tests cross-check against.
+BID databases take the same path. Each alternative is an event variable, and
+the sampler draws one uniform per block that picks at most one of the
+block's alternatives (:class:`repro.lineage.sampling.WorldLayout`), so block
+exclusivity holds in every sampled world.
 """
 
 from __future__ import annotations
@@ -25,108 +25,36 @@ import numpy as np
 from repro.bid.relation import BIDDatabase
 from repro.db.database import ProbabilisticDatabase
 from repro.db.schema import Row
-from repro.lineage.dnf import DNF, EventVarInterner, answer_lineages, lineage_of_query
-from repro.lineage.sampling import (
-    _batches,
-    _incidence,
-    naive_monte_carlo,
-    numpy_generator,
-)
+from repro.lineage.dnf import answer_lineages
+from repro.lineage.sampling import monte_carlo_answers
 from repro.obs.trace import span as _span
-from repro.query.grounding import answers_in_world, world_satisfies
 from repro.query.syntax import ConjunctiveQuery
 
-#: A sampled deterministic instance.
-World = dict[str, set[Row]]
 
-
-def sample_world(
-    db: ProbabilisticDatabase | BIDDatabase, rng: random.Random
-) -> World:
-    """Draw one instance from the database's distribution.
-
-    Tuple-independent relations flip one coin per tuple; BID relations draw
-    one alternative (or none) per block.
-    """
-    world: World = {}
-    if isinstance(db, BIDDatabase):
-        for rel in db:
-            chosen: set[Row] = set()
-            for key, block in rel.blocks():
-                r = rng.random()
-                acc = 0.0
-                for row, p in block.items():
-                    acc += p
-                    if r < acc:
-                        chosen.add(row)
-                        break
-            world[rel.name] = chosen
-        return world
-    for rel in db:
-        world[rel.name] = {
-            row for row, p in rel.items() if p == 1.0 or rng.random() < p
-        }
-    return world
-
-
-def sample_worlds(
+def _estimate(
+    name: str,
+    query: ConjunctiveQuery,
     db: ProbabilisticDatabase | BIDDatabase,
-    count: int,
-    rng: random.Random | np.random.Generator | None = None,
-) -> list[World]:
-    """Draw *count* instances with the coin flips batched through NumPy.
-
-    Tuple-independent relations draw one ``(count, n_tuples)`` uniform block
-    and compare it against the probability vector; BID relations draw one
-    uniform vector per block and pick the alternative by ``searchsorted``
-    on the cumulative alternative weights (index past the end = no
-    alternative). Distributionally identical to *count* calls of
-    :func:`sample_world`, without the per-tuple Python loop.
-    """
-    if count <= 0:
-        raise ValueError("count must be positive")
-    gen = numpy_generator(rng)
-    worlds: list[World] = [{} for _ in range(count)]
-    if isinstance(db, BIDDatabase):
-        for rel in db:
-            chosen: list[set[Row]] = [set() for _ in range(count)]
-            for _, block in rel.blocks():
-                rows = list(block)
-                cumulative = np.cumsum(np.fromiter(
-                    block.values(), dtype=np.float64, count=len(rows)
-                ))
-                picks = np.searchsorted(cumulative, gen.random(count), side="right")
-                for w in np.flatnonzero(picks < len(rows)):
-                    chosen[w].add(rows[picks[w]])
-            for w in range(count):
-                worlds[w][rel.name] = chosen[w]
-        return worlds
-    for rel in db:
-        rows = []
-        probs = []
-        for row, p in rel.items():
-            rows.append(row)
-            probs.append(p)
-        included = gen.random((count, len(rows))) < np.asarray(probs)
-        for w in range(count):
-            worlds[w][rel.name] = {rows[i] for i in np.flatnonzero(included[w])}
-    return worlds
-
-
-def _wants_vectorized(
-    db: ProbabilisticDatabase | BIDDatabase, method: str
-) -> bool:
-    if method not in ("auto", "vectorized", "scalar"):
-        raise ValueError(
-            f"unknown sampling method {method!r}; expected one of "
-            f"('auto', 'vectorized', 'scalar')"
+    samples: int,
+    rng: random.Random | np.random.Generator | None,
+    batch_size: int | None,
+) -> dict[Row, float]:
+    """Per-answer estimates of *query*, traced as the span *name*."""
+    if samples <= 0:
+        raise ValueError("samples must be positive")
+    with _span(name, samples=samples) as sp:
+        t0 = time.perf_counter()
+        dnfs, probs = answer_lineages(query, db)
+        block_key = db.block_of if isinstance(db, BIDDatabase) else None
+        out = monte_carlo_answers(
+            dnfs, probs, samples, rng,
+            block_key=block_key, batch_size=batch_size,
         )
-    if method == "vectorized" and isinstance(db, BIDDatabase):
-        raise TypeError(
-            "the vectorized estimator grounds tuple-independent lineage; "
-            "BID databases need method='scalar' (or 'auto')"
-        )
-    return method != "scalar" and not isinstance(db, BIDDatabase)
+        elapsed = time.perf_counter() - t0
+        sp.add("answers", len(out))
+        if elapsed > 0:
+            sp.add("samples_per_sec", round(samples / elapsed))
+    return out
 
 
 def mc_query_probability(
@@ -135,15 +63,9 @@ def mc_query_probability(
     samples: int,
     rng: random.Random | np.random.Generator | None = None,
     *,
-    method: str = "auto",
     batch_size: int | None = None,
 ) -> float:
     """Estimate ``Pr(q)`` by sampling *samples* worlds (MCDB-style).
-
-    The vectorized path grounds the Boolean lineage once and estimates its
-    probability with the batched sampler — equivalent to evaluating the
-    query on sampled instances, because a tuple-independent world satisfies
-    the query iff it satisfies the lineage (Definition 3.5).
 
     Examples
     --------
@@ -156,34 +78,10 @@ def mc_query_probability(
     >>> abs(est - 0.5) < 0.02
     True
     """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    with _span("mc_query_probability", samples=samples) as sp:
-        t0 = time.perf_counter()
-        if _wants_vectorized(db, method):
-            sp.annotate(path="vectorized")
-            dnf, probs = lineage_of_query(query.boolean_view(), db)
-            est = naive_monte_carlo(
-                dnf, probs, samples, rng,
-                method="vectorized", batch_size=batch_size,
-            )
-        else:
-            if isinstance(rng, np.random.Generator):
-                raise TypeError(
-                    "the scalar path needs a random.Random generator"
-                )
-            sp.annotate(path="scalar")
-            rng = rng or random.Random()
-            q = query.boolean_view()
-            hits = 0
-            for _ in range(samples):
-                if world_satisfies(q, sample_world(db, rng)):
-                    hits += 1
-            est = hits / samples
-        elapsed = time.perf_counter() - t0
-        if elapsed > 0:
-            sp.add("samples_per_sec", round(samples / elapsed))
-    return est
+    return _estimate(
+        "mc_query_probability", query.boolean_view(), db, samples, rng,
+        batch_size,
+    ).get((), 0.0)
 
 
 def mc_answer_probabilities(
@@ -192,74 +90,10 @@ def mc_answer_probabilities(
     samples: int,
     rng: random.Random | np.random.Generator | None = None,
     *,
-    method: str = "auto",
     batch_size: int | None = None,
 ) -> dict[Row, float]:
-    """Per-answer probability estimates for a headed query.
-
-    The vectorized path grounds every answer's lineage once (the
-    Section 6.1 "N Boolean queries" view), then shares each sampled world
-    block across all answers: one uniform matrix, one incidence-matrix
-    product, and a per-answer ``any`` over its clause rows.
-    """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    with _span("mc_answer_probabilities", samples=samples) as sp:
-        t0 = time.perf_counter()
-        if _wants_vectorized(db, method):
-            sp.annotate(path="vectorized")
-            out = _vectorized_answer_probabilities(
-                query, db, samples, rng, batch_size
-            )
-        else:
-            if isinstance(rng, np.random.Generator):
-                raise TypeError(
-                    "the scalar path needs a random.Random generator"
-                )
-            sp.annotate(path="scalar")
-            rng = rng or random.Random()
-            counts: dict[Row, int] = {}
-            for _ in range(samples):
-                for answer in answers_in_world(query, sample_world(db, rng)):
-                    counts[answer] = counts.get(answer, 0) + 1
-            out = {answer: n / samples for answer, n in counts.items()}
-        elapsed = time.perf_counter() - t0
-        sp.add("answers", len(out))
-        if elapsed > 0:
-            sp.add("samples_per_sec", round(samples / elapsed))
-    return out
-
-
-def _vectorized_answer_probabilities(
-    query: ConjunctiveQuery,
-    db: ProbabilisticDatabase,
-    samples: int,
-    rng: random.Random | np.random.Generator | None,
-    batch_size: int | None,
-) -> dict[Row, float]:
-    dnfs, probs = answer_lineages(query, db)
-    if not dnfs:
-        return {}
-    interner = EventVarInterner()
-    for v in sorted(probs):
-        interner.intern(v)
-    clause_rows: list[frozenset[int]] = []
-    spans: list[tuple[Row, int, int]] = []
-    for answer, dnf in dnfs.items():
-        start = len(clause_rows)
-        clause_rows.extend(
-            frozenset(interner.id_of(v) for v in c) for c in dnf.clauses
-        )
-        spans.append((answer, start, len(clause_rows)))
-    p = np.asarray(interner.probability_vector(probs), dtype=np.float64)
-    inc, sizes = _incidence(clause_rows, p.size)
-    gen = numpy_generator(rng)
-    counts = {answer: 0 for answer, _, _ in spans}
-    for n in _batches(samples, p.size, batch_size):
-        worlds = gen.random((n, p.size)) < p
-        satisfied = (worlds.astype(np.float32) @ inc.T) >= sizes
-        for answer, start, stop in spans:
-            counts[answer] += int(np.any(satisfied[:, start:stop], axis=1).sum())
-    return {
-        answer: count / samples for answer, count in counts.items() if count
-    }
+    """Per-answer probability estimates for a headed query; answers no
+    sampled world returns are left out."""
+    return _estimate(
+        "mc_answer_probabilities", query, db, samples, rng, batch_size
+    )

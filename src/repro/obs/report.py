@@ -353,6 +353,8 @@ def build_explain_report(
         start = time.perf_counter()
         result = evaluator.evaluate(plan)
         eval_seconds = time.perf_counter() - start
+        # the annotations scan the base relations too; keep them in the tree
+        plan_text = explain_plan(plan, db)
 
         rows = list(result.relation.items())
         nodes = [l for _, l, _ in rows]
@@ -537,7 +539,7 @@ def build_explain_report(
 
     report = ExplainReport(
         query=str(query),
-        plan=explain_plan(plan, db),
+        plan=plan_text,
         join_order=join_order,
         engine=result.engine,
         workers=workers,

@@ -6,20 +6,22 @@ fixes the left-deep plan; at request time it evaluates that plan against a
 database *snapshot* and reuses, across every request:
 
 * the parsed plan (no re-parsing, no re-optimising);
-* the evaluator's columnar **base-encode cache** (scans of an unchanged
-  relation reuse the dictionary-encoded code matrix);
+* the evaluators' columnar **base-encode caches** (scans of an unchanged
+  relation reuse the dictionary-encoded code matrix), for the pL pipeline
+  and for the dissociation bounds alike;
 * a rename-invariant :class:`~repro.perf.SubformulaCache` for final
   inference (structurally repeated per-answer DNFs across requests hit);
 * a :class:`~repro.circuit.CircuitCache` for what-if re-scoring over the
   prepared plan's results.
 
-Only the operator-pipeline phase is serialised (one lock per prepared
-query: the evaluator is pointed at each request's snapshot); the expensive
-final-inference phase runs outside the lock, so concurrent requests overlap
-where it matters. Commits invalidate structurally: a base encoding is keyed
-on the relation object and its mutation counter, so only the relations a
-commit replaced are re-encoded, and the circuit cache is flushed by the
-database's mutation hooks — a rolled-back transaction costs nothing.
+Only the operator-pipeline phase and the bounds are serialised (one lock
+per prepared query: each evaluator is pointed at the request's snapshot);
+the expensive final-inference phase runs outside the lock, so concurrent
+requests overlap where it matters. Commits invalidate structurally: a base
+encoding is keyed on the relation object and its mutation counter, so only
+the relations a commit replaced are re-encoded, and the circuit cache is
+flushed by the database's mutation hooks — a rolled-back transaction costs
+nothing.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.core.executor import EvaluationResult, PartialLineageEvaluator
 from repro.core.optimizer import choose_join_order
 from repro.core.plan import left_deep_plan
 from repro.circuit import CircuitCache
+from repro.dissociation import DissociationEvaluator, DissociationResult
 from repro.perf import SubformulaCache
 from repro.query.parser import parse_query
 
@@ -81,6 +84,10 @@ class PreparedQuery:
         self._evaluator = PartialLineageEvaluator(
             db, circuit_cache=self.circuit_cache
         )
+        #: Dissociation bounds for ``mode="bounds"`` and the pipeline-budget
+        #: fallback; its scan cache survives across requests like the pL
+        #: evaluator's.
+        self.bounds_evaluator = DissociationEvaluator(db)
         self._lock = threading.Lock()
         self.prepared_at = time.time()
         self.requests = 0
@@ -97,6 +104,13 @@ class PreparedQuery:
             result = self._evaluator.evaluate(self.plan, budget=budget)
             self.requests += 1
             return result
+
+    def bounds(self, snapshot) -> DissociationResult:
+        """Dissociation bounds of the plan against *snapshot*, serialised
+        per prepared query like :meth:`evaluate`."""
+        with self._lock:
+            self.bounds_evaluator.db = snapshot
+            return self.bounds_evaluator.evaluate(self.plan)
 
     def describe(self) -> dict:
         """JSON-shaped summary for ``prepare`` responses and ``stats``."""

@@ -37,7 +37,6 @@ import time
 from dataclasses import replace
 
 from repro.db import ProbabilisticDatabase
-from repro.dissociation import DissociationEvaluator
 from repro.errors import (
     AdmissionError,
     BudgetExceededError,
@@ -312,7 +311,7 @@ class Server:
         }
 
     def _bounds_payload(self, statement, snapshot) -> dict:
-        bounds = DissociationEvaluator(snapshot).evaluate(statement.plan)
+        bounds = statement.bounds(snapshot)
         inexact = sum(1 for b in bounds.bounds.values() if b.width > 0.0)
         return {
             "answers": protocol.answers_payload(bounds.bounds),

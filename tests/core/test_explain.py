@@ -62,6 +62,29 @@ def test_explain_prediction_matches_first_join(db):
     assert f"offending: {first_join.conditioned} left + 0 right" in out
 
 
+def constant_scan_db() -> ProbabilisticDatabase:
+    """``R(x, 1)`` keeps one of R's three rows, so S's tuple has one partner
+    in the scan although it has two in the base relation."""
+    db = ProbabilisticDatabase()
+    db.add_relation("S", ("A",), {(1,): 0.5})
+    db.add_relation("R", ("A", "B"), {(1, 1): 0.5, (1, 2): 0.5, (2, 2): 0.5})
+    db.add_relation("T", ("A", "B"), {(1, 1): 0.5, (1, 2): 0.5})
+    return db
+
+
+def test_explain_counts_over_the_scans_output():
+    db = constant_scan_db()
+    plan = left_deep_plan(
+        parse_query("q() :- S(x), R(x,1), T(x,y)"), ["S", "R", "T"]
+    )
+    result = PartialLineageEvaluator(db).evaluate(plan)
+    first_join = next(s for s in result.stats if "⋈" in s.operator)
+    assert first_join.conditioned == 0
+    out = explain(plan, db)
+    assert "⋈[x]   -- data safe (no offending tuples)" in out
+    assert "scan R(x, 1)   -- 1 tuples, 1 uncertain" in out
+
+
 def test_explain_validates_against_db(db):
     q = parse_query("R(x), S(x,y)")
     plan = left_deep_plan(q)

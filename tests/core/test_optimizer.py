@@ -101,6 +101,18 @@ def test_estimate_mode_first_join_exact(db):
             assert est.offending == 0, order
 
 
+def test_estimate_mode_first_join_honours_scan_constants():
+    """The first join is costed over the scans' output: ``R(x, 1)`` gives
+    S's tuple one partner, so nothing is conditioned there."""
+    from repro.core.optimizer import estimate_order
+    from tests.core.test_explain import constant_scan_db
+
+    db = constant_scan_db()
+    q = parse_query("q() :- S(x), R(x,1)")
+    assert cost_order(q, db, ("S", "R")).offending == 0
+    assert estimate_order(q, db, ("S", "R")).offending == 0
+
+
 def test_estimate_mode_choice_is_reasonable(db, rng):
     q = parse_query("R(x), S(x,y), T(y)")
     fast = choose_join_order(q, db, mode="estimate")

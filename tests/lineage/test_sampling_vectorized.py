@@ -1,8 +1,7 @@
-"""Statistical agreement between the scalar and vectorized samplers.
+"""The block sampler against the exact DPLL answer.
 
-The two implementations consume randomness differently, so equality is
-tolerance-based: both must land near the exact DPLL answer on seeded small
-DNFs, and the vectorized path must be reproducible given a seed.
+Estimates must land near :func:`dnf_probability` on seeded small DNFs,
+reproduce given a seed, and not depend on how the samples are batched.
 """
 
 import random
@@ -12,7 +11,12 @@ import pytest
 
 from repro.lineage.dnf import DNF, EventVar
 from repro.lineage.exact import dnf_probability
-from repro.lineage.sampling import karp_luby, naive_monte_carlo
+from repro.lineage.sampling import (
+    WorldLayout,
+    karp_luby,
+    monte_carlo_answers,
+    naive_monte_carlo,
+)
 
 
 def v(i: int) -> EventVar:
@@ -27,18 +31,7 @@ def triangle():
 
 
 @pytest.mark.parametrize("estimator", [naive_monte_carlo, karp_luby])
-def test_scalar_and_vectorized_agree_on_triangle(triangle, estimator):
-    f, probs, exact = triangle
-    scalar = estimator(f, probs, 40000, random.Random(11), method="scalar")
-    vectorized = estimator(f, probs, 40000, random.Random(11),
-                           method="vectorized")
-    assert scalar == pytest.approx(exact, abs=0.02)
-    assert vectorized == pytest.approx(exact, abs=0.02)
-    assert vectorized == pytest.approx(scalar, abs=0.03)
-
-
-@pytest.mark.parametrize("estimator", [naive_monte_carlo, karp_luby])
-def test_scalar_and_vectorized_agree_on_random_dnfs(estimator):
+def test_estimators_match_exact_on_random_dnfs(estimator):
     rng = random.Random(23)
     for _ in range(4):
         variables = [v(i) for i in range(6)]
@@ -49,14 +42,14 @@ def test_scalar_and_vectorized_agree_on_random_dnfs(estimator):
         f = DNF(clauses)
         probs = {x: rng.uniform(0.1, 0.9) for x in variables}
         exact = dnf_probability(f, probs)
-        est = estimator(f, probs, 30000, rng, method="vectorized")
+        est = estimator(f, probs, 30000, rng)
         assert est == pytest.approx(exact, abs=0.03)
 
 
 def test_vectorized_reproducible_with_seed(triangle):
     f, probs, _ = triangle
-    a = karp_luby(f, probs, 5000, random.Random(42), method="vectorized")
-    b = karp_luby(f, probs, 5000, random.Random(42), method="vectorized")
+    a = karp_luby(f, probs, 5000, random.Random(42))
+    b = karp_luby(f, probs, 5000, random.Random(42))
     assert a == b
 
 
@@ -69,33 +62,44 @@ def test_vectorized_accepts_numpy_generator(triangle):
 def test_vectorized_batching_splits_do_not_change_statistics(triangle):
     f, probs, exact = triangle
     est = naive_monte_carlo(f, probs, 30001, random.Random(4),
-                            method="vectorized", batch_size=1000)
+                            batch_size=1000)
     assert est == pytest.approx(exact, abs=0.02)
 
 
 def test_karp_luby_vectorized_small_probability():
     f = DNF([{v(1), v(2)}])
     probs = {v(1): 0.01, v(2): 0.01}
-    est = karp_luby(f, probs, 20000, random.Random(3), method="vectorized")
+    est = karp_luby(f, probs, 20000, random.Random(3))
     assert est == pytest.approx(1e-4, rel=0.15)
 
 
 def test_vectorized_constants_and_validation():
-    assert karp_luby(DNF([frozenset()]), {}, 10, method="vectorized") == 1.0
-    assert karp_luby(DNF(), {}, 10, method="vectorized") == 0.0
-    assert naive_monte_carlo(DNF([frozenset()]), {}, 10,
-                             method="vectorized") == 1.0
+    assert karp_luby(DNF([frozenset()]), {}, 10) == 1.0
+    assert karp_luby(DNF(), {}, 10) == 0.0
+    assert naive_monte_carlo(DNF([frozenset()]), {}, 10) == 1.0
+    assert monte_carlo_answers({}, {}, 10) == {}
     with pytest.raises(ValueError):
-        naive_monte_carlo(DNF([{v(1)}]), {v(1): 0.5}, 10, method="bogus")
-    with pytest.raises(TypeError):
-        naive_monte_carlo(DNF([{v(1)}]), {v(1): 0.5}, 10,
-                          np.random.default_rng(0), method="scalar")
+        naive_monte_carlo(DNF([{v(1)}]), {v(1): 0.5}, 10, batch_size=0)
+    with pytest.raises(ValueError):
+        monte_carlo_answers({(): DNF([{v(1)}])}, {v(1): 0.5}, 0)
 
 
 def test_deterministic_variables_always_hold():
     """Probability-1 variables must be true in every sampled world."""
     f = DNF([{v(1), v(2)}])
     probs = {v(1): 1.0, v(2): 0.5}
-    est = naive_monte_carlo(f, probs, 30000, random.Random(8),
-                            method="vectorized")
+    est = naive_monte_carlo(f, probs, 30000, random.Random(8))
     assert est == pytest.approx(0.5, abs=0.02)
+
+
+def test_singleton_blocks_draw_like_independent_variables():
+    """The block draw over singleton blocks is the independent draw ``u < p``
+    bit for bit, so a TI database samples the same worlds either way."""
+    p = np.array([0.1, 0.5, 1.0, 0.3, 0.9])
+    blocked = WorldLayout(np.zeros_like(p), p, np.arange(p.size), p.size)
+    independent = WorldLayout.independent(p)
+    a = blocked.draw(np.random.default_rng(3), 200)
+    b = independent.draw(np.random.default_rng(3), 200)
+    assert (a == b).all()
+    variables = [v(i) for i in range(p.size)]
+    assert WorldLayout.of(variables, p, lambda x: x).block_of is None

@@ -1,22 +1,20 @@
-"""Vectorized world sampling cross-checked against exact evaluation.
+"""Block world sampling cross-checked against exact evaluation.
 
 Includes the exact-vs-MC cross-check on the Figure 4 walkthrough instance:
-the paper's running example database, whose Boolean probability the exact
-DPLL path computes, must be reproduced by both sampling implementations.
+the paper's running example database, whose Boolean probability the
+possible-worlds oracle computes, must be reproduced by the sampler.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.bid import BIDDatabase
 from repro.db import ProbabilisticDatabase
-from repro.mc import (
-    mc_answer_probabilities,
-    mc_query_probability,
-    sample_world,
-    sample_worlds,
-)
+from repro.lineage.dnf import EventVar
+from repro.lineage.sampling import WorldLayout
+from repro.mc import mc_answer_probabilities, mc_query_probability
 from repro.query.parser import parse_query
 
 from tests.conftest import make_rst_database, oracle_probability
@@ -45,12 +43,8 @@ def test_fig4_exact_vs_mc_cross_check():
     db = fig4_database()
     q = parse_query("R(x), S(x,y), T(y)")
     exact = oracle_probability(q, db)
-    scalar = mc_query_probability(q, db, 50000, random.Random(1),
-                                  method="scalar")
-    vectorized = mc_query_probability(q, db, 50000, random.Random(1),
-                                      method="vectorized")
-    assert scalar == pytest.approx(exact, abs=0.01)
-    assert vectorized == pytest.approx(exact, abs=0.01)
+    est = mc_query_probability(q, db, 50000, random.Random(1))
+    assert est == pytest.approx(exact, abs=0.01)
 
 
 def test_fig4_answer_probabilities_vectorized():
@@ -59,58 +53,48 @@ def test_fig4_answer_probabilities_vectorized():
     db = fig4_database()
     q = parse_query("q(x) :- R(x), S(x,y), T(y)")
     exact = PartialLineageEvaluator(db).evaluate_query(q).answer_probabilities()
-    est = mc_answer_probabilities(q, db, 60000, random.Random(2),
-                                  method="vectorized")
+    est = mc_answer_probabilities(q, db, 60000, random.Random(2))
     assert set(est) <= set(exact)
     for row, p in exact.items():
         assert est.get(row, 0.0) == pytest.approx(p, abs=0.01)
 
 
-def test_sample_worlds_matches_sample_world_distribution(rng):
-    db = make_rst_database(rng)
-    count = 20000
-    worlds = sample_worlds(db, count, random.Random(5))
-    assert len(worlds) == count
-    # Per-tuple frequencies track the marginal probabilities.
-    for rel in db:
-        for row, p in rel.items():
-            freq = sum(row in w[rel.name] for w in worlds) / count
-            assert freq == pytest.approx(p, abs=0.02)
-
-
 def test_sample_worlds_bid_block_exclusivity():
+    """Sampled worlds hold at most one alternative per block, each at its
+    marginal; a block whose alternatives sum below 1 yields none with the
+    remainder."""
     db = BIDDatabase()
     db.add_relation(
         "L", ("P", "C"), ("P",),
-        {("ann", "paris"): 0.6, ("ann", "tokyo"): 0.4},
+        {("ann", "paris"): 0.6, ("ann", "tokyo"): 0.4,
+         ("bob", "paris"): 0.5, ("bob", "oslo"): 0.3},
     )
-    worlds = sample_worlds(db, 5000, random.Random(6))
-    picks = {"paris": 0, "tokyo": 0}
-    for w in worlds:
-        assert len(w["L"]) <= 1
-        for row in w["L"]:
-            picks[row[1]] += 1
-    assert picks["paris"] / 5000 == pytest.approx(0.6, abs=0.02)
-    assert picks["tokyo"] / 5000 == pytest.approx(0.4, abs=0.02)
+    variables = sorted(EventVar("L", row) for row in db["L"])
+    p = np.array([db["L"].probability(v.row) for v in variables])
+    layout = WorldLayout.of(variables, p, db.block_of)
+    worlds = layout.draw(np.random.default_rng(6), 20000)
+    ann = [i for i, v in enumerate(variables) if v.row[0] == "ann"]
+    bob = [i for i, v in enumerate(variables) if v.row[0] == "bob"]
+    assert (worlds[:, ann].sum(axis=1) <= 1).all()
+    assert (worlds[:, bob].sum(axis=1) <= 1).all()
+    assert worlds.mean(axis=0) == pytest.approx(p, abs=0.02)
+    assert (~worlds[:, bob].any(axis=1)).mean() == pytest.approx(0.2, abs=0.02)
 
 
-def test_scalar_and_vectorized_query_probability_agree(rng):
-    q = parse_query("R(x), S(x,y), T(y)")
-    db = make_rst_database(rng)
-    exact = oracle_probability(q, db)
-    for method in ("scalar", "vectorized"):
-        est = mc_query_probability(q, db, 30000, random.Random(7),
-                                   method=method)
-        assert est == pytest.approx(exact, abs=0.02)
-
-
-def test_vectorized_method_rejected_on_bid():
-    db = BIDDatabase()
-    db.add_relation("C", ("C",), ("C",), {("paris",): 0.5})
-    q = parse_query("C(y)")
-    with pytest.raises(TypeError):
-        mc_query_probability(q, db, 100, random.Random(0),
-                             method="vectorized")
-    # auto silently falls back to the scalar sampler for BID databases
-    est = mc_query_probability(q, db, 30000, random.Random(8))
-    assert est == pytest.approx(0.5, abs=0.02)
+def test_answer_frequencies_track_tuple_marginals(rng):
+    """Asking for every tuple of a relation reads each tuple's sampled
+    frequency: it tracks the marginal, TI and BID alike."""
+    bid = BIDDatabase()
+    bid.add_relation(
+        "L", ("P", "C"), ("P",),
+        {("ann", "paris"): 0.6, ("ann", "tokyo"): 0.4, ("bob", "oslo"): 1.0},
+    )
+    for db in (make_rst_database(rng), bid):
+        for rel in db:
+            vars_ = ", ".join(f"x{i}" for i in range(rel.schema.arity))
+            q = parse_query(f"q({vars_}) :- {rel.name}({vars_})")
+            est = mc_answer_probabilities(q, db, 20000, random.Random(5))
+            for row in rel:
+                assert est.get(row, 0.0) == pytest.approx(
+                    rel.probability(row), abs=0.02
+                )

@@ -5,6 +5,7 @@ import pytest
 from repro.core.executor import PartialLineageEvaluator
 from repro.core.plan import left_deep_plan
 from repro.db import ProbabilisticDatabase
+from repro.dissociation import DissociationEvaluator
 from repro.errors import (
     AdmissionError,
     BudgetExceededError,
@@ -165,6 +166,40 @@ class TestWireShape:
             assert_wire_shape(server.query("q", mode="bounds")["answers"])
         finally:
             server.drain(timeout=10.0)
+
+
+class TestPreparedBounds:
+    """``mode="bounds"`` reuses the statement's dissociation evaluator."""
+
+    def test_requests_at_one_version_reuse_the_scan_cache(self, server):
+        server.query("q", mode="bounds")
+        cache = server.prepared["q"].bounds_evaluator._scanner._cache
+        first = dict(cache)
+        assert sorted(first) == ["R", "S"]
+        server.query("q", mode="bounds")
+        assert all(cache[name] is entry for name, entry in first.items())
+
+    def test_commit_between_requests_serves_the_new_snapshot(self, server, db):
+        def served() -> dict:
+            payload = server.query("q", mode="bounds")
+            return {
+                tuple(a["row"]): (a["lower"], a["upper"])
+                for a in payload["answers"]
+            }
+
+        before = served()
+        sid = server.begin()["session"]
+        server.set_prob(sid, "R", (1,), 0.9)
+        server.commit(sid)
+        after = served()
+        fresh = DissociationEvaluator(db.snapshot()).evaluate(
+            server.prepared["q"].plan
+        )
+        assert after == {
+            row: (e.lower, e.upper) for row, e in fresh.bounds.items()
+        }
+        assert after[(1,)] != before[(1,)]
+        assert after[(1,)][1] == pytest.approx(0.45)
 
 
 class TestSessions:

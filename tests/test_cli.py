@@ -76,6 +76,14 @@ def test_workload_command(capsys):
     assert "karp-luby" in out
 
 
+def test_workload_has_one_sampler(capsys):
+    """There is one Monte-Carlo implementation, so no flag picks one."""
+    with pytest.raises(SystemExit) as exc:
+        main(["workload", "P1", "--sample", "--mc-method", "scalar"])
+    assert exc.value.code == 2
+    assert "--mc-method" in capsys.readouterr().err
+
+
 def test_error_exit_code(tmp_path, capsys):
     code = main(["query", str(tmp_path), "R(x)"])
     assert code == 1
