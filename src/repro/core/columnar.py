@@ -77,6 +77,8 @@ __all__ = [
     "eq_mask",
     "where_mask",
     "match_join",
+    "offending_mask",
+    "key_multiplicity",
     "or_fold",
     "select_eq",
     "select_where",
@@ -932,9 +934,19 @@ def match_join(
     )
 
 
-def _offending(rel: ColumnarPLRelation, fanout: np.ndarray) -> np.ndarray:
-    """Uncertain rows with more than one join partner (Definition 5.14)."""
-    return (rel.probs < 1.0) & (fanout > 1)
+def offending_mask(probs: np.ndarray, fanout: np.ndarray) -> np.ndarray:
+    """Rows that offend at a join (Definition 5.14): uncertain (``p < 1``)
+    with more than one join partner, given each row's *probs* and partner
+    count *fanout* (a :class:`JoinMatch` side or :func:`key_multiplicity`)."""
+    return (probs < 1.0) & (fanout > 1)
+
+
+def key_multiplicity(rel: CodedRelation, on: Sequence[str]) -> np.ndarray:
+    """Per row, how many rows of *rel* (itself included) share its ``on``
+    key: the row's fanout against a side that holds *rel*'s keys."""
+    keys = _fuse(len(rel), [rel.codes[:, rel.index_of(a)] for a in on])
+    _, group, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+    return sizes[group]
 
 
 def cset_mask(
@@ -947,7 +959,7 @@ def cset_mask(
     deterministic or not: a shared uncertain left tuple correlates its output
     tuples regardless of the partners' probabilities.
     """
-    return _offending(left, match_join(left, right, on).left_fanout)
+    return offending_mask(left.probs, match_join(left, right, on).left_fanout)
 
 
 def cset(
@@ -1018,8 +1030,8 @@ def pl_join(
     every conditioned tuple (used for what-if analysis).
     """
     m = match_join(left, right, on)
-    lmask = _offending(left, m.left_fanout)
-    rmask = _offending(right, m.right_fanout)
+    lmask = offending_mask(left.probs, m.left_fanout)
+    rmask = offending_mask(right.probs, m.right_fanout)
     left2 = condition(left, lmask, recorder) if lmask.any() else left
     right2 = condition(right, rmask, recorder) if rmask.any() else right
     joined = _and_join(left2, right2, m)

@@ -415,6 +415,7 @@ class PartialLineageEvaluator:
         workers: int | None = None,
         budget=None,
         circuit_cache=None,
+        scanner: BaseScanner | None = None,
     ) -> None:
         self.db = db
         #: Pass-through to :class:`AndOrNetwork`: disable to ablate the
@@ -437,8 +438,9 @@ class PartialLineageEvaluator:
         # Shared dictionary encoding plus a per-base-relation encode cache:
         # scans of the same (unmodified) relation across evaluations — e.g.
         # the optimizer costing many join orders — reuse the code matrix
-        # instead of re-interning every value.
-        self._scanner = BaseScanner()
+        # instead of re-interning every value. A dissociation evaluator over
+        # the same database may share it.
+        self._scanner = scanner if scanner is not None else BaseScanner()
 
     # ------------------------------------------------------------ entry points
     def evaluate(self, plan: Plan, budget=None) -> EvaluationResult:

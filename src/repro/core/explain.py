@@ -13,7 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.columnar import BaseScanner, CodedRelation, match_join
+from repro.core.columnar import (
+    BaseScanner,
+    CodedRelation,
+    match_join,
+    offending_mask,
+)
 from repro.core.executor import EvaluationResult
 from repro.core.network import EPSILON, AndOrNetwork, NodeKind
 from repro.core.plan import Filter, Join, Plan, Project, Scan, Select, plan_schema
@@ -44,8 +49,8 @@ def scan_join_offending(
     rrel, rprobs = scan_output(scanner, db, right)
     m = match_join(lrel, rrel, on)
     return (
-        int(((lprobs < 1.0) & (m.left_fanout > 1)).sum()),
-        int(((rprobs < 1.0) & (m.right_fanout > 1)).sum()),
+        int(offending_mask(lprobs, m.left_fanout).sum()),
+        int(offending_mask(rprobs, m.right_fanout).sum()),
     )
 
 

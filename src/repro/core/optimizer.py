@@ -24,8 +24,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.executor import EvaluationResult, PartialLineageEvaluator
 from repro.core.inference import induced_width, network_factors
 from repro.core.plan import Plan, Scan, left_deep_plan
@@ -134,7 +132,11 @@ def estimate_order(
     at 0 — this mode ranks orders by predicted conditioning only, trading
     the exactness of :func:`cost_order` for costing without a network.
     """
-    from repro.core.columnar import BaseScanner
+    from repro.core.columnar import (
+        BaseScanner,
+        key_multiplicity,
+        offending_mask,
+    )
     from repro.core.explain import scan_join_offending, scan_output
 
     atom_by_name = {a.relation: a for a in query.atoms}
@@ -162,12 +164,8 @@ def estimate_order(
         elif shared:
             # the fresh (base) side's uncertain rows sharing their join key
             rel, probs = scan_output(scanner, db, scans[name])
-            key = rel.codes[:, [rel.index_of(a) for a in shared]]
-            _, group, sizes = np.unique(
-                key, axis=0, return_inverse=True, return_counts=True
-            )
-            shared_key = sizes[group.ravel()] > 1
-            offending += int(((probs < 1.0) & shared_key).sum())
+            fanout = key_multiplicity(rel, shared)
+            offending += int(offending_mask(probs, fanout).sum())
         elif done:
             # cross product: every uncertain tuple of the smaller side
             offending += min(uncertain(name), sum(uncertain(d) for d in done))

@@ -174,9 +174,17 @@ class DissociationEvaluator:
     True
     """
 
-    def __init__(self, db: ProbabilisticDatabase) -> None:
+    def __init__(
+        self,
+        db: ProbabilisticDatabase,
+        *,
+        scanner: _columnar.BaseScanner | None = None,
+    ) -> None:
         self.db = db
-        self._scanner = _columnar.BaseScanner()
+        # Encode cache; a pL evaluator over the same database may share it.
+        if scanner is None:
+            scanner = _columnar.BaseScanner()
+        self._scanner = scanner
 
     # ------------------------------------------------------------ entry points
     def evaluate(self, plan: Plan) -> DissociationResult:

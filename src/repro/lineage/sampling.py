@@ -20,10 +20,10 @@ hit-count kernel:
   one uniform ``u`` per block and world, and a variable holds when ``u``
   falls in its slice ``[lo, hi)`` of the block's cumulative probability.
   A tuple-independent variable is a singleton block, whose test is
-  ``u < p``; the alternatives of a BID block get consecutive slices, so at
-  most one of them holds, and none does when ``u`` lies past the last
-  slice. Alternatives the lineage never mentions belong to that "none"
-  remainder.
+  ``u < p``; the alternatives of a BID block get consecutive slices of the
+  uniform drawn for the block's first alternative, so at most one of them
+  holds, and none does when ``u`` lies past the last slice. Alternatives
+  the lineage never mentions belong to that "none" remainder.
 * :func:`_satisfied` decides every clause for a block of worlds with one
   matrix product against the clause-incidence matrix. The naive estimator
   takes an ``any`` over each DNF's clause rows, Karp-Luby an ``argmax`` for
@@ -71,52 +71,60 @@ def numpy_generator(
 @dataclass(frozen=True)
 class WorldLayout:
     """Where each variable's slice ``[lo, hi)`` of its block's unit interval
-    lies; ``block_of`` is ``None`` when every variable is its own block."""
+    lies.
 
-    lo: np.ndarray
+    A block's first variable has ``lo = 0`` and keeps its own uniform column;
+    every later alternative (a *follower*) reads its block's first column
+    (its *leader*) and carries its own ``lo``. Tuple-independent variables
+    have no followers."""
+
     hi: np.ndarray
-    block_of: np.ndarray | None = None
-    blocks: int = 0
-
-    @classmethod
-    def independent(cls, p: np.ndarray) -> "WorldLayout":
-        """Tuple-independent variables with probabilities *p*."""
-        return cls(np.zeros_like(p), p)
+    follower: np.ndarray
+    leader: np.ndarray
+    follower_lo: np.ndarray
 
     @classmethod
     def of(
-        cls,
-        variables: Sequence[EventVar],
-        p: np.ndarray,
-        block_key: Callable[[EventVar], Hashable] | None,
+        cls, p: np.ndarray, block_keys: Sequence[Hashable] | None = None
     ) -> "WorldLayout":
-        """Layout of *variables* (probabilities *p*), grouped into blocks by
-        *block_key*; ``None`` means tuple-independent. Blocks are numbered in
-        first-occurrence order, so singleton blocks lay out exactly like
-        :meth:`independent`."""
-        if block_key is None:
-            return cls.independent(p)
-        ids: dict[Hashable, int] = {}
-        ends: list[float] = []
-        block_of = np.empty(len(variables), dtype=np.intp)
-        lo = np.empty_like(p)
-        for i, v in enumerate(variables):
-            b = ids.setdefault(block_key(v), len(ids))
-            if b == len(ends):
-                ends.append(0.0)
-            block_of[i] = b
-            lo[i] = ends[b]
-            ends[b] += p[i]
-        if len(ids) == len(variables):
-            return cls.independent(p)
-        return cls(lo, lo + p, block_of, len(ids))
+        """Layout of variables with probabilities *p*; ``block_keys[i]``
+        names variable ``i``'s block, and ``None`` makes every variable its
+        own block (tuple-independent)."""
+        if block_keys is None:
+            block_keys = range(p.size)
+        first: dict[Hashable, int] = {}
+        ends: dict[Hashable, float] = {}
+        hi = np.empty_like(p)
+        follower: list[int] = []
+        leader: list[int] = []
+        follower_lo: list[float] = []
+        for i, key in enumerate(block_keys):
+            lo = ends.get(key, 0.0)
+            j = first.setdefault(key, i)
+            if j != i:
+                follower.append(i)
+                leader.append(j)
+                follower_lo.append(lo)
+            hi[i] = ends[key] = lo + p[i]
+        return cls(
+            hi,
+            np.array(follower, dtype=np.intp),
+            np.array(leader, dtype=np.intp),
+            np.array(follower_lo, dtype=np.float64),
+        )
 
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        """``(n, n_vars)`` boolean matrix of *n* sampled worlds."""
-        if self.block_of is None:
-            return gen.random((n, self.hi.size)) < self.hi
-        u = gen.random((n, self.blocks))[:, self.block_of]
-        return (self.lo <= u) & (u < self.hi)
+        """``(n, n_vars)`` boolean matrix of *n* sampled worlds.
+
+        One uniform column per variable is drawn, so a tuple-independent
+        world is ``u < p`` on the generator's stream in variable order; a
+        follower's own column is overwritten by its leader's and left unused.
+        """
+        u = gen.random((n, self.hi.size))
+        u[:, self.follower] = u[:, self.leader]
+        worlds = u < self.hi
+        worlds[:, self.follower] &= self.follower_lo <= u[:, self.follower]
+        return worlds
 
 
 def _batches(samples: int, width: int, batch_size: int | None) -> Iterator[int]:
@@ -223,7 +231,11 @@ def monte_carlo_answers(
         )
         spans.append((key, start, len(clause_rows)))
     p = np.asarray(interner.probability_vector(probs), dtype=np.float64)
-    layout = WorldLayout.of(interner.variables(), p, block_key)
+    layout = WorldLayout.of(
+        p,
+        None if block_key is None
+        else [block_key(v) for v in interner.variables()],
+    )
     inc, sizes = _incidence(clause_rows, p.size)
     gen = numpy_generator(rng)
     counts = {key: 0 for key, _, _ in spans}
@@ -299,7 +311,7 @@ def karp_luby(
     for row, clause in enumerate(clauses):
         members = sorted(clause)
         padded[row, : len(members)] = members
-    layout = WorldLayout.independent(np.append(p, 1.0))
+    layout = WorldLayout.of(np.append(p, 1.0))
 
     gen = numpy_generator(rng)
     hits = 0

@@ -6,18 +6,19 @@ fixes the left-deep plan; at request time it evaluates that plan against a
 database *snapshot* and reuses, across every request:
 
 * the parsed plan (no re-parsing, no re-optimising);
-* the evaluators' columnar **base-encode caches** (scans of an unchanged
-  relation reuse the dictionary-encoded code matrix), for the pL pipeline
-  and for the dissociation bounds alike;
+* one columnar **base-encode cache** (scans of an unchanged relation reuse
+  the dictionary-encoded code matrix), shared by the pL pipeline and the
+  dissociation bounds, so each relation is encoded once per version;
 * a rename-invariant :class:`~repro.perf.SubformulaCache` for final
   inference (structurally repeated per-answer DNFs across requests hit);
 * a :class:`~repro.circuit.CircuitCache` for what-if re-scoring over the
   prepared plan's results.
 
-Only the operator-pipeline phase and the bounds are serialised (one lock
-per prepared query: each evaluator is pointed at the request's snapshot);
-the expensive final-inference phase runs outside the lock, so concurrent
-requests overlap where it matters. Commits invalidate structurally: a base
+Only the operator-pipeline phase and the bounds are serialised, each
+behind its own lock (each evaluator is pointed at the request's snapshot),
+so a bounds request never waits for a pL pipeline; the expensive
+final-inference phase runs outside the locks, so concurrent requests
+overlap where it matters. Commits invalidate structurally: a base
 encoding is keyed on the relation object and its mutation counter, so only
 the relations a commit replaced are re-encoded, and the circuit cache is
 flushed by the database's mutation hooks — a rolled-back transaction costs
@@ -29,6 +30,7 @@ from __future__ import annotations
 import threading
 import time
 
+from repro.core.columnar import BaseScanner
 from repro.core.executor import EvaluationResult, PartialLineageEvaluator
 from repro.core.optimizer import choose_join_order
 from repro.core.plan import left_deep_plan
@@ -79,16 +81,21 @@ class PreparedQuery:
         self.infer_cache = SubformulaCache()
         #: Compiled-circuit cache for what-if analyses over this statement.
         self.circuit_cache = CircuitCache()
+        #: Base-encode cache shared by both evaluators; lock-protected and
+        #: keyed on each relation's version, so it serves every snapshot.
+        self.scanner = BaseScanner()
         # The evaluator wires the circuit cache into the root db's mutation
         # hooks, so transactional commits (and direct adds) flush it.
         self._evaluator = PartialLineageEvaluator(
-            db, circuit_cache=self.circuit_cache
+            db, circuit_cache=self.circuit_cache, scanner=self.scanner
         )
-        #: Dissociation bounds for ``mode="bounds"`` and the pipeline-budget
-        #: fallback; its scan cache survives across requests like the pL
-        #: evaluator's.
-        self.bounds_evaluator = DissociationEvaluator(db)
+        # Dissociation bounds for ``mode="bounds"`` and the pipeline-budget
+        # fallback.
+        self._bounds_evaluator = DissociationEvaluator(
+            db, scanner=self.scanner
+        )
         self._lock = threading.Lock()
+        self._bounds_lock = threading.Lock()
         self.prepared_at = time.time()
         self.requests = 0
 
@@ -106,11 +113,11 @@ class PreparedQuery:
             return result
 
     def bounds(self, snapshot) -> DissociationResult:
-        """Dissociation bounds of the plan against *snapshot*, serialised
-        per prepared query like :meth:`evaluate`."""
-        with self._lock:
-            self.bounds_evaluator.db = snapshot
-            return self.bounds_evaluator.evaluate(self.plan)
+        """Dissociation bounds of the plan against *snapshot*; serialised
+        per prepared query like :meth:`evaluate`, behind a lock of its own."""
+        with self._bounds_lock:
+            self._bounds_evaluator.db = snapshot
+            return self._bounds_evaluator.evaluate(self.plan)
 
     def describe(self) -> dict:
         """JSON-shaped summary for ``prepare`` responses and ``stats``."""

@@ -93,13 +93,13 @@ def test_deterministic_variables_always_hold():
 
 
 def test_singleton_blocks_draw_like_independent_variables():
-    """The block draw over singleton blocks is the independent draw ``u < p``
-    bit for bit, so a TI database samples the same worlds either way."""
+    """Without block keys every variable is its own block, and the block draw
+    is the independent draw ``u < p`` on the same stream, bit for bit."""
     p = np.array([0.1, 0.5, 1.0, 0.3, 0.9])
-    blocked = WorldLayout(np.zeros_like(p), p, np.arange(p.size), p.size)
-    independent = WorldLayout.independent(p)
-    a = blocked.draw(np.random.default_rng(3), 200)
-    b = independent.draw(np.random.default_rng(3), 200)
-    assert (a == b).all()
-    variables = [v(i) for i in range(p.size)]
-    assert WorldLayout.of(variables, p, lambda x: x).block_of is None
+    layout = WorldLayout.of(p)
+    assert layout.follower.size == 0 and (layout.hi == p).all()
+    worlds = layout.draw(np.random.default_rng(3), 200)
+    u = np.random.default_rng(3).random((200, p.size))
+    assert (worlds == (u < p)).all()
+    keyed = WorldLayout.of(p, [v(i) for i in range(p.size)])
+    assert (keyed.draw(np.random.default_rng(3), 200) == worlds).all()

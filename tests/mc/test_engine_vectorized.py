@@ -71,7 +71,7 @@ def test_sample_worlds_bid_block_exclusivity():
     )
     variables = sorted(EventVar("L", row) for row in db["L"])
     p = np.array([db["L"].probability(v.row) for v in variables])
-    layout = WorldLayout.of(variables, p, db.block_of)
+    layout = WorldLayout.of(p, [db.block_of(v) for v in variables])
     worlds = layout.draw(np.random.default_rng(6), 20000)
     ann = [i for i, v in enumerate(variables) if v.row[0] == "ann"]
     bob = [i for i, v in enumerate(variables) if v.row[0] == "bob"]

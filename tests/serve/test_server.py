@@ -1,5 +1,7 @@
 """The in-process Server: modes, sessions, protocol dispatch, drain."""
 
+import threading
+
 import pytest
 
 from repro.core.executor import PartialLineageEvaluator
@@ -169,15 +171,38 @@ class TestWireShape:
 
 
 class TestPreparedBounds:
-    """``mode="bounds"`` reuses the statement's dissociation evaluator."""
+    """``mode="bounds"`` reuses the statement's dissociation evaluator and
+    shares its encode cache with the pL pipeline."""
 
     def test_requests_at_one_version_reuse_the_scan_cache(self, server):
         server.query("q", mode="bounds")
-        cache = server.prepared["q"].bounds_evaluator._scanner._cache
+        cache = server.prepared["q"].scanner._cache
         first = dict(cache)
         assert sorted(first) == ["R", "S"]
         server.query("q", mode="bounds")
         assert all(cache[name] is entry for name, entry in first.items())
+
+    def test_exact_and_bounds_requests_share_one_encoding(self, server):
+        server.query("q", mode="exact")
+        cache = server.prepared["q"].scanner._cache
+        first = dict(cache)
+        assert sorted(first) == ["R", "S"]
+        server.query("q", mode="bounds")
+        assert all(cache[name] is entry for name, entry in first.items())
+
+    def test_bounds_do_not_wait_for_the_pl_pipeline(self, server, db):
+        statement = server.prepared["q"]
+        done = threading.Event()
+
+        def bounds() -> None:
+            statement.bounds(db.snapshot())
+            done.set()
+
+        with statement._lock:  # a pL pipeline in flight
+            worker = threading.Thread(target=bounds, daemon=True)
+            worker.start()
+            assert done.wait(timeout=10.0)
+        worker.join()
 
     def test_commit_between_requests_serves_the_new_snapshot(self, server, db):
         def served() -> dict:
