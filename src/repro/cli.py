@@ -60,6 +60,10 @@ run to a JSONL file — one record per evaluation).
 Database directory format: one ``<Relation>.csv`` per relation, first line a
 header of attribute names, a trailing ``p`` column with the tuple
 probability. Values that parse as integers/floats are loaded as numbers.
+``query``, and ``explain`` / ``whatif`` with ``--database``, parse the query
+first and read only the relations it names (each checked in full; a named
+relation without a file is an error); ``serve --dir`` loads and checks every
+file.
 
 Run ``python -m repro.cli --help`` for details.
 """
@@ -78,6 +82,7 @@ from repro.bench.harness import (
     run_sampling,
 )
 from repro.bench.reporting import format_table, write_json_report
+from repro.core.columnar import BaseScanner
 from repro.core.executor import PartialLineageEvaluator
 from repro.core.explain import explain
 from repro.core.optimizer import choose_join_order
@@ -141,16 +146,29 @@ def _query_budget(args: argparse.Namespace):
     )
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    db = load_database(args.database)
+def _load_for(args: argparse.Namespace):
+    """``(db, query)``: the query parsed first, then only the relations it
+    names loaded from ``args.database``."""
     query = parse_query(args.query)
+    db = load_database(
+        args.database, relations={a.relation for a in query.atoms}
+    )
+    return db, query
+
+
+def cmd_query(args: argparse.Namespace) -> int:
+    db, query = _load_for(args)
     budget = _query_budget(args)
+    # One encode cache for the evaluators and the --explain annotations, so
+    # each base relation is encoded once.
+    scanner = BaseScanner()
     # In --degrade mode the budget applies to final inference only, where
     # the ladder turns a blown deadline into sound bounds; attaching it to
     # the operator pipeline too would make the whole query fail instead.
     evaluator = PartialLineageEvaluator(
         db, workers=args.workers,
         budget=None if args.degrade else budget,
+        scanner=scanner,
     )
     if args.optimize:
         choice = choose_join_order(query, db)
@@ -160,7 +178,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     else:
         order = args.join_order.split(",") if args.join_order else None
     if args.explain:
-        print(explain(left_deep_plan(query, order), db))
+        print(explain(left_deep_plan(query, order), db, scanner=scanner))
         print()
     if args.top_k is not None and args.degrade:
         print("error: --top-k and --degrade are mutually exclusive",
@@ -173,7 +191,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
             plan = left_deep_plan(query, order)
             result = evaluator.evaluate(plan)
-            bounds = DissociationEvaluator(db).evaluate(plan)
+            bounds = DissociationEvaluator(db, scanner=scanner).evaluate(plan)
             cert = certified_top_k(
                 result, bounds, args.top_k,
                 workers=args.workers, budget=budget,
@@ -265,8 +283,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print("error: explain needs either --database DIR or --workload",
                   file=sys.stderr)
             return 2
-        db = load_database(args.database)
-        query = parse_query(args.query)
+        db, query = _load_for(args)
         order = args.join_order.split(",") if args.join_order else None
     budget = None
     if args.deadline is not None:
@@ -316,8 +333,7 @@ def cmd_whatif(args: argparse.Namespace) -> int:
             print("error: whatif needs either --database DIR or --workload",
                   file=sys.stderr)
             return 2
-        db = load_database(args.database)
-        query = parse_query(args.query)
+        db, query = _load_for(args)
         order = args.join_order.split(",") if args.join_order else None
 
     cache = CircuitCache()
@@ -640,7 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("query", help="evaluate a query over a CSV database")
-    q.add_argument("database", help="directory of <Relation>.csv files")
+    q.add_argument("database",
+                   help="directory of <Relation>.csv files; only the "
+                        "relations the query names are read")
     q.add_argument("query", help="datalog-style query text")
     q.add_argument("--join-order", help="comma-separated relation names")
     q.add_argument("--optimize", action="store_true",
@@ -686,7 +704,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="datalog-style query text (with --database), or a "
                         "Table 1 query name (with --workload)")
     e.add_argument("--database", metavar="DIR",
-                   help="directory of <Relation>.csv files")
+                   help="directory of <Relation>.csv files; only the "
+                        "relations the query names are read")
     e.add_argument("--workload", action="store_true",
                    help="treat QUERY as a Table 1 name and explain it on a "
                         "generated Section 6.1 instance")
@@ -726,7 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="datalog-style query text (with --database), or a "
                          "Table 1 query name (with --workload)")
     wf.add_argument("--database", metavar="DIR",
-                    help="directory of <Relation>.csv files")
+                    help="directory of <Relation>.csv files; only the "
+                         "relations the query names are read")
     wf.add_argument("--workload", action="store_true",
                     help="treat QUERY as a Table 1 name and analyse it on a "
                          "generated Section 6.1 instance")

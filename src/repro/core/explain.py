@@ -68,8 +68,17 @@ def _join_annotation(
     return f"offending: {loff} left + {roff} right tuples will be conditioned"
 
 
-def explain(plan: Plan, db: ProbabilisticDatabase | None = None) -> str:
+def explain(
+    plan: Plan,
+    db: ProbabilisticDatabase | None = None,
+    *,
+    scanner: BaseScanner | None = None,
+) -> str:
     """An indented tree rendering of *plan*, annotated when *db* is given.
+
+    The annotations scan the base relations through *scanner* (default a
+    private one); pass the scanner of the evaluator that runs the same plan
+    so each relation is encoded once.
 
     Examples
     --------
@@ -83,7 +92,8 @@ def explain(plan: Plan, db: ProbabilisticDatabase | None = None) -> str:
        └─ scan S(x, y)
     """
     lines: list[str] = []
-    scanner = BaseScanner()
+    if scanner is None:
+        scanner = BaseScanner()
 
     def annotate(node: Plan) -> str:
         if db is None:

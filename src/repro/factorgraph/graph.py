@@ -19,8 +19,7 @@ monotonicity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.network import EPSILON, AndOrNetwork
 from repro.core.plan import Filter, Join, Plan, Project, Scan, Select, plan_schema
@@ -28,6 +27,15 @@ from repro.db.database import ProbabilisticDatabase
 from repro.db.schema import Row
 from repro.errors import PlanError
 from repro.query.syntax import Constant, Variable
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+
+def _digraph() -> nx.DiGraph:
+    import networkx as nx
+
+    return nx.DiGraph()
 
 
 @dataclass
@@ -39,7 +47,7 @@ class FactorGraph:
     maps each output row of the plan to its node.
     """
 
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    graph: nx.DiGraph = field(default_factory=_digraph)
     outputs: dict[Row, int] = field(default_factory=dict)
     _counter: int = 0
 
@@ -166,6 +174,8 @@ def network_to_graph(net: AndOrNetwork, include_epsilon: bool = False) -> nx.Gra
     ε is excluded by default: it is a constant, contributes no correlation,
     and would artificially connect otherwise-independent components.
     """
+    import networkx as nx
+
     g = nx.Graph()
     for v in net.nodes():
         if v == EPSILON and not include_epsilon:

@@ -15,9 +15,12 @@ which the ``benchmarks/test_fig2_decomposition.py`` and
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.lineage.treewidth import treewidth_upper_bound
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def decompose(graph: nx.DiGraph) -> nx.DiGraph:
@@ -27,6 +30,8 @@ def decompose(graph: nx.DiGraph) -> nx.DiGraph:
     ``kind``; the semantics (composition of the same associative connective)
     is unchanged.
     """
+    import networkx as nx
+
     out = nx.DiGraph()
     for node, data in graph.nodes(data=True):
         out.add_node(node, **data)
@@ -62,6 +67,6 @@ def moralize(graph: nx.DiGraph) -> nx.Graph:
 
 def treewidth_bound(graph: nx.Graph | nx.DiGraph, heuristic: str = "min_fill") -> int:
     """Heuristic treewidth upper bound, accepting directed graphs too."""
-    if isinstance(graph, nx.DiGraph):
+    if graph.is_directed():
         graph = graph.to_undirected()
     return treewidth_upper_bound(graph, heuristic)

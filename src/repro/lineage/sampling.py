@@ -297,7 +297,7 @@ def karp_luby(
     n_vars = p.size
     inc, sizes = _incidence(clauses, n_vars)
     weights = np.array(
-        [float(np.prod(p[list(c)])) for c in clauses], dtype=np.float64
+        [float(np.prod(p[sorted(c)])) for c in clauses], dtype=np.float64
     )
     cumulative = np.cumsum(weights)
     total = float(cumulative[-1])

@@ -11,18 +11,19 @@ unbounded treewidth, and a many-many join embeds ``K_{m,n}`` (Fact 5.18:
 Exact treewidth is itself NP-hard; we provide a subset-DP exact algorithm for
 small graphs (tests and Fact 5.18 checks) and min-fill / min-degree heuristic
 upper bounds (via networkx) for the experiment-scale measurements.
+networkx is imported by the functions that use it, so no query path pays
+for it at start-up.
 """
 
 from __future__ import annotations
 
-import networkx as nx
-from networkx.algorithms.approximation import (
-    treewidth_min_degree,
-    treewidth_min_fill_in,
-)
+from typing import TYPE_CHECKING
 
 from repro.errors import CapacityError
 from repro.lineage.dnf import DNF
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Exact treewidth DP is O(2^n * n * m); refuse beyond this many vertices.
 _MAX_EXACT = 18
@@ -30,6 +31,8 @@ _MAX_EXACT = 18
 
 def primal_graph(dnf: DNF) -> nx.Graph:
     """Primal graph of the DNF's hypergraph: one clique per clause."""
+    import networkx as nx
+
     g = nx.Graph()
     for clause in dnf.clauses:
         members = sorted(clause)
@@ -42,6 +45,11 @@ def primal_graph(dnf: DNF) -> nx.Graph:
 
 def treewidth_upper_bound(graph: nx.Graph, heuristic: str = "min_fill") -> int:
     """Heuristic treewidth upper bound (``min_fill`` or ``min_degree``)."""
+    from networkx.algorithms.approximation import (
+        treewidth_min_degree,
+        treewidth_min_fill_in,
+    )
+
     if graph.number_of_nodes() == 0:
         return 0
     if heuristic == "min_fill":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.core.columnar import BaseScanner
 from repro.core.executor import PartialLineageEvaluator
 from repro.core.explain import explain as explain_plan
 from repro.core.inference import _width_limit
@@ -347,14 +348,15 @@ def build_explain_report(
                 dpll_max_calls=dpll_max_calls, registry=registry, budget=budget,
                 circuit_cache=circuit_cache, top_k=top_k,
             )
-    evaluator = PartialLineageEvaluator(db, workers=workers)
+    # one encode cache for the evaluators and the plan annotations
+    scanner = BaseScanner()
+    evaluator = PartialLineageEvaluator(db, workers=workers, scanner=scanner)
     plan = left_deep_plan(query, join_order)
     with span("explain", query=str(query)):
         start = time.perf_counter()
         result = evaluator.evaluate(plan)
         eval_seconds = time.perf_counter() - start
-        # the annotations scan the base relations too; keep them in the tree
-        plan_text = explain_plan(plan, db)
+        plan_text = explain_plan(plan, db, scanner=scanner)
 
         rows = list(result.relation.items())
         nodes = [l for _, l, _ in rows]
@@ -486,7 +488,7 @@ def build_explain_report(
             # of what the (possibly budgeted) loop above already measured,
             # and the section exists to compare wall-clocks, not to race a
             # deadline that the first pass may have spent already.
-            bounds = DissociationEvaluator(db).evaluate(plan)
+            bounds = DissociationEvaluator(db, scanner=scanner).evaluate(plan)
             cert = certified_top_k(
                 result, bounds, top_k, dpll_max_calls=dpll_max_calls,
             )

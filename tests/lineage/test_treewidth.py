@@ -1,5 +1,9 @@
 """Tests for lineage treewidth analysis (Theorem 4.2, Facts 5.18/5.19)."""
 
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 
@@ -89,3 +93,26 @@ def test_lineage_treewidth_wrapper():
     f = DNF([{a, b}])
     assert lineage_treewidth(f, exact=True) == 1
     assert lineage_treewidth(f) >= 1
+
+
+def test_networkx_is_imported_only_by_the_treewidth_calls():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "False"
+
+
+def test_heuristic_bounds_on_workload_lineages():
+    from repro.lineage.dnf import answer_lineages
+    from repro.workload import WorkloadParams, generate_database
+    from repro.workload.queries import benchmark_query
+
+    db = generate_database(WorkloadParams(N=3, m=20, r_f=0.3, seed=0))
+    dnfs, _ = answer_lineages(benchmark_query("P2").query, db)
+    graphs = [primal_graph(dnfs[a]) for a in sorted(dnfs)]
+    assert [treewidth_upper_bound(g) for g in graphs] == [3, 3, 5]
+    assert [treewidth_upper_bound(g, "min_degree") for g in graphs] == [3, 3, 5]

@@ -121,6 +121,10 @@ HASH_SEED_SCRIPT = textwrap.dedent(
     """
     import random
 
+    import numpy as np
+
+    from repro.lineage.dnf import answer_lineages
+    from repro.lineage.sampling import karp_luby
     from repro.mc import mc_answer_probabilities, mc_query_probability
     from repro.query.parser import parse_query
     from repro.workload import WorkloadParams, generate_database
@@ -134,6 +138,13 @@ HASH_SEED_SCRIPT = textwrap.dedent(
         est = mc_answer_probabilities(q, db, 5000, random.Random(1))
         print(sorted(est.items()))
         print(repr(mc_query_probability(q, db, 5000, random.Random(2))))
+    wide = generate_database(WorkloadParams(N=3, m=20, r_f=0.3, seed=0))
+    estimates = []
+    for name in ("P1", "P2", "S2"):
+        dnfs, probs = answer_lineages(benchmark_query(name).query, wide)
+        estimates += [karp_luby(dnfs[a], probs, 500, np.random.default_rng(0))
+                      for a in sorted(dnfs)]
+    print(repr(estimates))
     """
 )
 
@@ -150,6 +161,6 @@ def test_estimates_do_not_depend_on_the_hash_seed():
         assert done.returncode == 0, done.stderr[-2000:]
         runs.append(done.stdout)
     lines = runs[0].splitlines()
-    assert len(lines) == 4, runs[0]
+    assert len(lines) == 5, runs[0]
     assert "(2,)" in lines[0] and "'ann'" in lines[2], runs[0]
     assert runs[0] == runs[1]

@@ -117,3 +117,23 @@ def test_explicit_join_order_is_recorded(db):
         db, parse_query("q(x) :- R(x), S(x,y)"), join_order=["S", "R"]
     )
     assert report.join_order == ["S", "R"]
+
+
+@pytest.mark.parametrize("top_k", [None, 2])
+def test_each_base_relation_is_encoded_once(top_k):
+    # the evaluator, the plan annotations and the top-k bounds evaluator
+    # share one encode cache
+    from repro.workload import WorkloadParams, generate_database
+    from repro.workload.queries import benchmark_query
+
+    bench = benchmark_query("P1")
+    db = generate_database(WorkloadParams(N=3, m=20, r_f=0.3, seed=0))
+    with Tracer() as tracer:
+        build_explain_report(
+            db, bench.query, join_order=list(bench.join_order), top_k=top_k
+        )
+    encoded = [
+        s.attrs["relation"]
+        for root in tracer.roots for s in root.find("encode_base")
+    ]
+    assert sorted(encoded) == sorted(a.relation for a in bench.query.atoms)

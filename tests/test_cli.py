@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import load_database, main
@@ -286,3 +288,42 @@ def test_obs_validate_flight_log(tmp_path, capsys):
     log.write_text('{"v": 1, "seq": 1, "ts": 0, "pid": 1, "kind": "bogus"}\n')
     assert main(["obs", "validate", str(log)]) == 1
     assert "unknown kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["query"],
+    ["query", "--top-k", "1"],
+    ["explain", "--database"],
+    ["whatif", "--database"],
+])
+def test_commands_read_only_the_named_relations(csv_db, tmp_path, capsys,
+                                                command):
+    # an unrelated, malformed relation in the directory is never read
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    for name in ("R", "S", "T"):
+        (clean / f"{name}.csv").write_text((csv_db / f"{name}.csv").read_text())
+    (csv_db / "X.csv").write_text("A,p\n1,nan\n")
+    query = "q(x) :- R(x), S(x,y), T(y)"
+
+    def run(directory):
+        if command[0] == "query":
+            argv = ["query", str(directory), query, *command[1:]]
+        else:
+            argv = [command[0], query, "--database", str(directory)]
+        assert main(argv) == 0
+        out = re.sub(r"\d+\.\d+s\b", "<t>", capsys.readouterr().out)
+        if command[0] == "explain":  # its timing columns
+            out = re.sub(r"\b\d\.\d{5}\b", "<t>", out)
+        return out
+
+    got = run(csv_db)
+    assert got == run(clean)
+    assert "answer" in got
+
+
+def test_query_naming_a_missing_relation_exits_1(csv_db, capsys):
+    code = main(["query", str(csv_db), "q(x) :- R(x), U(x)"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "U.csv" in err and "R, S, T" in err
