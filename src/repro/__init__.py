@@ -40,7 +40,6 @@ from repro.core import (
     hoeffding_samples,
     karp_luby_marginal,
     left_deep_plan,
-    optimized_plan,
     partial_lineage_dnf,
     plan_schema,
 )
@@ -222,7 +221,6 @@ __all__ = [
     "relation_statistics",
     "PlanChoice",
     "choose_join_order",
-    "optimized_plan",
     # approximate inference
     "partial_lineage_dnf",
     "forward_sample_marginal",

@@ -52,7 +52,7 @@ from repro.core.treeprop import (
     tree_marginals,
     tree_marginals_array,
 )
-from repro.core.optimizer import PlanChoice, choose_join_order, optimized_plan
+from repro.core.optimizer import PlanChoice, choose_join_order
 from repro.core.whatif import Sensitivity, WhatIfAnalysis
 from repro.core.executor import OffendingTuple
 from repro.core.explain import explain, network_to_dot, result_to_dot
@@ -88,7 +88,6 @@ __all__ = [
     "tree_marginals_array",
     "PlanChoice",
     "choose_join_order",
-    "optimized_plan",
     "WhatIfAnalysis",
     "Sensitivity",
     "OffendingTuple",

@@ -78,7 +78,6 @@ __all__ = [
     "where_mask",
     "match_join",
     "offending_mask",
-    "key_multiplicity",
     "or_fold",
     "select_eq",
     "select_where",
@@ -937,16 +936,8 @@ def match_join(
 def offending_mask(probs: np.ndarray, fanout: np.ndarray) -> np.ndarray:
     """Rows that offend at a join (Definition 5.14): uncertain (``p < 1``)
     with more than one join partner, given each row's *probs* and partner
-    count *fanout* (a :class:`JoinMatch` side or :func:`key_multiplicity`)."""
+    count *fanout* (a :class:`JoinMatch` side)."""
     return (probs < 1.0) & (fanout > 1)
-
-
-def key_multiplicity(rel: CodedRelation, on: Sequence[str]) -> np.ndarray:
-    """Per row, how many rows of *rel* (itself included) share its ``on``
-    key: the row's fanout against a side that holds *rel*'s keys."""
-    keys = _fuse(len(rel), [rel.codes[:, rel.index_of(a)] for a in on])
-    _, group, sizes = np.unique(keys, return_inverse=True, return_counts=True)
-    return sizes[group]
 
 
 def cset_mask(

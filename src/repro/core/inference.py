@@ -21,6 +21,7 @@ in everything else.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -229,30 +230,35 @@ def eliminate(
 
 
 def induced_width(factors: Sequence[Factor], keep: Iterable[int] = ()) -> int:
-    """Width of the greedy min-fill order (treewidth upper bound minus 1).
+    """Width of the greedy min-degree order (treewidth upper bound minus 1).
 
     A cheap proxy for the paper's treewidth measurements: the largest factor
-    created during elimination has ``width + 1`` variables.
+    created during elimination has ``width + 1`` variables. Each step
+    eliminates the variable of least ``(degree, id)``, found through a heap
+    whose entries go stale when a neighbour's elimination changes a degree.
     """
     keep_set = set(keep)
     adj: dict[int, set[int]] = {}
     for f in factors:
         for v in f.vars:
             adj.setdefault(v, set()).update(w for w in f.vars if w != v)
+    heap = [(len(nbrs), v) for v, nbrs in adj.items() if v not in keep_set]
+    heapq.heapify(heap)
     width = 0
-    candidates = set(adj) - keep_set
-    while candidates:
-        v = min(candidates, key=lambda u: (len(adj[u]), u))
-        nbrs = list(adj[v])
-        width = max(width, len(nbrs))
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if v not in adj or len(adj[v]) != degree:
+            continue
+        nbrs = list(adj.pop(v))
+        width = max(width, degree)
         for i, a in enumerate(nbrs):
             for b in nbrs[i + 1 :]:
                 adj[a].add(b)
                 adj[b].add(a)
         for w in nbrs:
             adj[w].discard(v)
-        del adj[v]
-        candidates.discard(v)
+            if w not in keep_set:
+                heapq.heappush(heap, (len(adj[w]), w))
     return width
 
 

@@ -14,6 +14,12 @@ practical optimiser:
 * return the best order under the lexicographic cost
   ``(offending, width estimate, network size, intermediate tuples)``.
 
+The width estimate (min-degree elimination over the network's factors) costs
+far more than the evaluation itself, and it only decides between orders tied
+on the offending count. :func:`choose_join_order` therefore evaluates every
+order once for its offending count and computes the full cost only for the
+orders at the minimum count.
+
 Evaluation-based costing is exact where estimation formulas would guess: the
 offending set of a later join depends on earlier operators' output, which is
 precisely the data-dependence that makes the problem open.
@@ -24,9 +30,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.core.executor import EvaluationResult, PartialLineageEvaluator
+from repro.core.executor import PartialLineageEvaluator
 from repro.core.inference import induced_width, network_factors
-from repro.core.plan import Plan, Scan, left_deep_plan
+from repro.core.plan import left_deep_plan
 from repro.db.database import ProbabilisticDatabase
 from repro.errors import PlanError
 from repro.query.syntax import ConjunctiveQuery
@@ -100,82 +106,13 @@ def cost_order(
     if evaluator is None:
         evaluator = PartialLineageEvaluator(db)
     result = evaluator.evaluate(left_deep_plan(query, list(order)))
-    return _choice_from_result(order, result)
-
-
-def _choice_from_result(
-    order: tuple[str, ...], result: EvaluationResult
-) -> PlanChoice:
     net = result.network
-    if len(net) > 1:
-        width = induced_width(network_factors(net))
-    else:
-        width = 0
     return PlanChoice(
         order=tuple(order),
         offending=result.offending_count,
-        width_estimate=width,
+        width_estimate=induced_width(network_factors(net)) if len(net) > 1 else 0,
         network_nodes=len(net),
         intermediate_tuples=sum(s.output_size for s in result.stats),
-    )
-
-
-def estimate_order(
-    query: ConjunctiveQuery, db: ProbabilisticDatabase, order: tuple[str, ...]
-) -> PlanChoice:
-    """Statistics-only costing: no evaluation, no network.
-
-    Counts the *first* join's offending tuples exactly, over the two scans'
-    output (:func:`~repro.core.explain.scan_join_offending`), and charges
-    later joins optimistically by the fresh scan's uncertain tuples that
-    share their join key with another row. The width/size fields are left
-    at 0 — this mode ranks orders by predicted conditioning only, trading
-    the exactness of :func:`cost_order` for costing without a network.
-    """
-    from repro.core.columnar import (
-        BaseScanner,
-        key_multiplicity,
-        offending_mask,
-    )
-    from repro.core.explain import scan_join_offending, scan_output
-
-    atom_by_name = {a.relation: a for a in query.atoms}
-    scans = {a.relation: Scan(a.relation, a.terms) for a in query.atoms}
-    scanner = BaseScanner()
-
-    def join_vars(done, name: str) -> tuple[str, ...]:
-        # exactly the attributes left_deep_plan joins on: shared variables
-        # between the prefix and the fresh atom (head variables included)
-        prior = {v.name for d in done for v in atom_by_name[d].variables()}
-        mine = {v.name for v in atom_by_name[name].variables()}
-        return tuple(sorted(prior & mine))
-
-    def uncertain(name: str) -> int:
-        return int((scan_output(scanner, db, scans[name])[1] < 1.0).sum())
-
-    offending = 0
-    done: list[str] = []
-    for name in order:
-        shared = join_vars(done, name)
-        if shared and len(done) == 1:
-            offending += sum(scan_join_offending(
-                scanner, db, scans[done[0]], scans[name], shared
-            ))
-        elif shared:
-            # the fresh (base) side's uncertain rows sharing their join key
-            rel, probs = scan_output(scanner, db, scans[name])
-            fanout = key_multiplicity(rel, shared)
-            offending += int(offending_mask(probs, fanout).sum())
-        elif done:
-            # cross product: every uncertain tuple of the smaller side
-            offending += min(uncertain(name), sum(uncertain(d) for d in done))
-        done.append(name)
-    return PlanChoice(
-        order=tuple(order),
-        offending=offending,
-        width_estimate=0,
-        network_nodes=0,
-        intermediate_tuples=0,
     )
 
 
@@ -184,7 +121,6 @@ def choose_join_order(
     db: ProbabilisticDatabase,
     *,
     max_orders: int = 120,
-    mode: str = "evaluate",
 ) -> PlanChoice:
     """Pick the cheapest left-deep join order for *query* on *db*.
 
@@ -200,40 +136,29 @@ def choose_join_order(
     >>> choice.order[0] in ("T", "S")   # conditioning R first is avoidable
     True
 
-    ``mode="estimate"`` ranks orders from base-relation statistics only
-    (constant cost per order, approximate); the default ``"evaluate"`` runs
-    the cheap extensional evaluation per order (exact offending counts).
-    One evaluator is shared across all candidate orders, so each base
-    relation is encoded only once for the whole search.
+    Costs the first *max_orders* of :func:`connected_prefix_orders` in two
+    passes over one shared evaluator (each base relation is encoded once for
+    the whole search): the first evaluates every order for its offending
+    count, the second runs :func:`cost_order` only on the orders at the
+    minimum count. The cost is lexicographic with the count first, so this
+    returns the first order, in enumeration order, of least full cost.
     """
-    if mode not in ("evaluate", "estimate"):
-        raise PlanError(f"unknown optimiser mode {mode!r}")
-    if mode == "evaluate":
-        shared = PartialLineageEvaluator(db)
-
-        def cost(q, d, order):
-            return cost_order(q, d, order, evaluator=shared)
-    else:
-        cost = estimate_order
-    best: PlanChoice | None = None
-    for i, order in enumerate(connected_prefix_orders(query)):
-        if i >= max_orders:
-            break
-        choice = cost(query, db, tuple(order))
-        if best is None or choice.cost < best.cost:
-            best = choice
-    if best is None:
+    orders = list(
+        itertools.islice(connected_prefix_orders(query), max(max_orders, 0))
+    )
+    if not orders:
         raise PlanError(f"no left-deep order found for {query}")
-    return best
-
-
-def optimized_plan(
-    query: ConjunctiveQuery,
-    db: ProbabilisticDatabase,
-    *,
-    max_orders: int = 120,
-) -> Plan:
-    """The left-deep plan for the order chosen by :func:`choose_join_order`."""
-    return left_deep_plan(
-        query, list(choose_join_order(query, db, max_orders=max_orders).order)
+    evaluator = PartialLineageEvaluator(db)
+    counts = [
+        evaluator.evaluate(left_deep_plan(query, list(order))).offending_count
+        for order in orders
+    ]
+    least = min(counts)
+    return min(
+        (
+            cost_order(query, db, order, evaluator=evaluator)
+            for order, count in zip(orders, counts)
+            if count == least
+        ),
+        key=lambda choice: choice.cost,
     )

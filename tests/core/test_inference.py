@@ -171,6 +171,46 @@ def test_induced_width_chain_vs_clique():
     assert induced_width(clique) == 4
 
 
+def scan_induced_width(factors, keep=()) -> int:
+    """Reference min-degree width: scan every candidate at every step."""
+    adj = {}
+    for f in factors:
+        for v in f.vars:
+            adj.setdefault(v, set()).update(w for w in f.vars if w != v)
+    width = 0
+    candidates = set(adj) - set(keep)
+    while candidates:
+        v = min(candidates, key=lambda u: (len(adj[u]), u))
+        nbrs = list(adj[v])
+        width = max(width, len(nbrs))
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1 :]:
+                adj[a].add(b)
+                adj[b].add(a)
+        for w in nbrs:
+            adj[w].discard(v)
+        del adj[v]
+        candidates.discard(v)
+    return width
+
+
+def test_induced_width_heap_matches_scan():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(2, 30)
+        scopes = [
+            tuple(rng.sample(range(n), rng.randint(1, min(4, n))))
+            for _ in range(rng.randint(1, 3 * n))
+        ]
+        factors = [Factor(s, np.ones((2,) * len(s))) for s in scopes]
+        keep = rng.sample(range(n), rng.randint(0, 2))
+        assert induced_width(factors, keep) == scan_induced_width(factors, keep)
+    for _ in range(10):
+        net = random_network(rng, rng.randint(3, 12), rng.randint(3, 25))
+        factors = network_factors(net)
+        assert induced_width(factors) == scan_induced_width(factors)
+
+
 def test_eliminate_with_explicit_order():
     f1 = Factor((1, 2), np.array([[0.9, 0.1], [0.2, 0.8]]))
     f2 = Factor((1,), np.array([0.4, 0.6]))

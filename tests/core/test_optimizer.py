@@ -3,16 +3,22 @@
 import pytest
 
 from repro.core.executor import PartialLineageEvaluator
+from repro.core.inference import induced_width
 from repro.core.optimizer import (
+    PlanChoice,
     choose_join_order,
     connected_prefix_orders,
     cost_order,
-    optimized_plan,
 )
+from repro.core.plan import left_deep_plan
 from repro.db import ProbabilisticDatabase
+from repro.errors import PlanError
 from repro.query.parser import parse_query
+from repro.workload.generator import WorkloadParams, generate_database
+from repro.workload.queries import TABLE1_QUERIES
 
 from tests.conftest import make_rst_database, oracle_probability
+from tests.core.test_explain import constant_scan_db
 
 
 @pytest.fixture
@@ -51,6 +57,10 @@ def test_cost_order(db):
     assert bad.offending == 1
     assert good.offending == 0
     assert good.cost < bad.cost
+    # the count is over the scans' output: ``R(x, 1)`` leaves S's tuple
+    # one partner, so nothing is conditioned
+    q = parse_query("q() :- S(x), R(x,1)")
+    assert cost_order(q, constant_scan_db(), ("S", "R")).offending == 0
 
 
 def test_choose_join_order_avoids_conditioning(db):
@@ -60,11 +70,11 @@ def test_choose_join_order_avoids_conditioning(db):
     assert choice.network_nodes == 1
 
 
-def test_optimized_plan_is_correct(rng):
+def test_chosen_order_plan_is_correct(rng):
     q = parse_query("R(x), S(x,y), T(y)")
     for _ in range(10):
         db = make_rst_database(rng)
-        plan = optimized_plan(q, db)
+        plan = left_deep_plan(q, list(choose_join_order(q, db).order))
         result = PartialLineageEvaluator(db).evaluate(plan)
         assert result.boolean_probability() == pytest.approx(
             oracle_probability(q, db)
@@ -78,6 +88,9 @@ def test_optimizer_never_worse_than_paper_order(rng):
         chosen = choose_join_order(q, db)
         fixed = cost_order(q, db, ("R", "S", "T"))
         assert chosen.cost <= fixed.cost
+        assert chosen.offending == min(
+            cost_order(q, db, o).offending for o in connected_prefix_orders(q)
+        )
 
 
 def test_max_orders_cap(db):
@@ -87,51 +100,54 @@ def test_max_orders_cap(db):
     assert choice.order in set(connected_prefix_orders(q))
 
 
-def test_estimate_mode_first_join_exact(db):
-    """For the first join the estimate equals the exact conditioning count."""
-    from repro.core.optimizer import estimate_order
-
+@pytest.mark.parametrize("max_orders", [0, -1])
+def test_no_order_to_cost_is_a_plan_error(db, max_orders):
     q = parse_query("R(x), S(x,y), T(y)")
-    for order in (("R", "S", "T"), ("S", "T", "R"), ("T", "S", "R")):
-        est = estimate_order(q, db, order)
-        exact = cost_order(q, db, order)
-        # estimate may over- or under-charge later joins, but a zero-offending
-        # exact order must also estimate (near-)zero for its first join
-        if exact.offending == 0:
-            assert est.offending == 0, order
+    with pytest.raises(PlanError, match="no left-deep order"):
+        choose_join_order(q, db, max_orders=max_orders)
 
 
-def test_estimate_mode_first_join_honours_scan_constants():
-    """The first join is costed over the scans' output: ``R(x, 1)`` gives
-    S's tuple one partner, so nothing is conditioned there."""
-    from repro.core.optimizer import estimate_order
-    from tests.core.test_explain import constant_scan_db
-
-    db = constant_scan_db()
-    q = parse_query("q() :- S(x), R(x,1)")
-    assert cost_order(q, db, ("S", "R")).offending == 0
-    assert estimate_order(q, db, ("S", "R")).offending == 0
+def first_minimum(query, db) -> PlanChoice:
+    """The reference search: full cost of every order, first minimum wins."""
+    best = None
+    for order in connected_prefix_orders(query):
+        choice = cost_order(query, db, order)
+        if best is None or choice.cost < best.cost:
+            best = choice
+    return best
 
 
-def test_estimate_mode_choice_is_reasonable(db, rng):
+def test_choice_is_first_minimum_of_full_costs(rng):
     q = parse_query("R(x), S(x,y), T(y)")
-    fast = choose_join_order(q, db, mode="estimate")
-    exact = choose_join_order(q, db, mode="evaluate")
-    # the estimate-chosen order, costed exactly, is never a disaster: within
-    # the worst exact order's cost
-    from repro.core.optimizer import connected_prefix_orders
-
-    exact_costs = {
-        tuple(o): cost_order(q, db, tuple(o)).offending
-        for o in connected_prefix_orders(q)
-    }
-    assert exact_costs[fast.order] <= max(exact_costs.values())
-    assert exact_costs[exact.order] == min(exact_costs.values())
+    for _ in range(10):
+        db = make_rst_database(rng)
+        assert choose_join_order(q, db) == first_minimum(q, db)
 
 
-def test_unknown_mode_rejected(db):
-    from repro.errors import PlanError
+@pytest.mark.parametrize("name", ["P2", "S2"])
+def test_choice_is_first_minimum_among_ties(name):
+    db = generate_database(WorkloadParams(N=2, m=30, r_f=0.3))
+    q = TABLE1_QUERIES[name].query
+    counts = [cost_order(q, db, o).offending for o in connected_prefix_orders(q)]
+    assert counts.count(min(counts)) >= 2  # the instance has tied orders
+    assert choose_join_order(q, db) == first_minimum(q, db)
 
-    q = parse_query("R(x), S(x,y), T(y)")
-    with pytest.raises(PlanError, match="mode"):
-        choose_join_order(q, db, mode="magic")
+
+def test_width_is_computed_only_for_tied_orders(monkeypatch):
+    db = generate_database(WorkloadParams(N=2, m=30, r_f=0.3))
+    q = TABLE1_QUERIES["S2"].query
+    choices = [cost_order(q, db, o) for o in connected_prefix_orders(q)]
+    least = min(c.offending for c in choices)
+    tied = [c for c in choices if c.offending == least]
+    assert all(c.network_nodes > 1 for c in tied)
+    assert len(tied) < len(choices)
+
+    calls = []
+
+    def counting_width(factors):
+        calls.append(1)
+        return induced_width(factors)
+
+    monkeypatch.setattr("repro.core.optimizer.induced_width", counting_width)
+    choose_join_order(q, db)
+    assert len(calls) == len(tied)

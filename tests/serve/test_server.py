@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.core.executor import PartialLineageEvaluator
+from repro.core.optimizer import choose_join_order
 from repro.core.plan import left_deep_plan
 from repro.db import ProbabilisticDatabase
 from repro.dissociation import DissociationEvaluator
@@ -323,6 +324,34 @@ class TestProtocolDispatch:
         commit = server.handle({"id": 3, "op": "commit", "session": sid})
         assert commit["ok"] and commit["touched"] == ["R"]
         assert (9,) in db["R"]
+
+    def test_prepare_with_optimize_uses_the_chosen_order(self):
+        db = generate_database(WorkloadParams(N=2, m=30, r_f=0.3))
+        # P2's atoms listed so the written order conditions more than the best
+        text = "q(h) :- S2(h,y,z), S1(h,x,y), R1(h,x), R2(h,z)"
+        chosen = list(choose_join_order(parse_query(text), db).order)
+        assert chosen != ["S2", "S1", "R1", "R2"]
+        server = Server(db, default_deadline=30.0)
+        try:
+            resp = server.handle({
+                "id": 1, "op": "prepare", "name": "opt", "query": text,
+                "optimize": True,
+            })
+            assert resp["ok"] and resp["join_order"] == chosen
+            server.prepare("plain", text)
+            answers = {
+                name: {
+                    tuple(a["row"]): a["probability"]
+                    for a in server.query(name, mode="exact")["answers"]
+                }
+                for name in ("opt", "plain")
+            }
+            assert answers["plain"]
+            assert answers["opt"].keys() == answers["plain"].keys()
+            for row, p in answers["plain"].items():
+                assert answers["opt"][row] == pytest.approx(p, abs=1e-12)
+        finally:
+            server.drain(timeout=10.0)
 
     def test_shutdown_op_drains(self, server):
         resp = server.handle({"id": 9, "op": "shutdown", "timeout": 10.0})
